@@ -40,7 +40,6 @@ from .core import (
     format_rational,
     gcd_combined,
     greedy_extreme_point,
-    hall_feasible,
     is_extreme_point,
     is_feasible,
     make_instance,
@@ -56,12 +55,9 @@ from .decomposition import (
     crp_decomposition,
     crp_graph,
     erp_number,
-    full_support_point,
-    redundancy_oracle,
     redundant_edges,
     ssc_basis,
     verify_decomposition,
-    witness_point,
 )
 from .design import (
     BalancedCover,

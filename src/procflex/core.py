@@ -3,9 +3,9 @@
 A problem instance is a triple (demand, supply, edges) describing the polytope
 of nonnegative matrices x with row sums ``demand``, column sums ``supply`` and
 support restricted to ``edges``.  Everything in this module (and in the other
-combinatorial modules) works with :class:`fractions.Fraction`; feasibility,
-redundancy and extremality are exact-zero properties, so no floating point is
-allowed anywhere near them.
+combinatorial modules) works with :class:`fractions.Fraction`, and the max
+flow scales the rates to Python ints; feasibility, redundancy and extremality
+are exact-zero properties, so no floating point is allowed anywhere near them.
 
 Vertices are 1-indexed.  Demand indices live in [1, m], supply indices in
 [1, n]; the two index spaces are distinct (an edge is a (demand, supply) pair).
@@ -14,8 +14,8 @@ Vertices are 1-indexed.  Demand indices live in [1, m], supply indices in
 from __future__ import annotations
 
 import math
+import numbers
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +27,6 @@ from .errors import (
     Infeasible,
     NegativeRate,
     NotFeasiblePoint,
-    SizeLimitExceeded,
     UnbalancedTotals,
     ZeroVector,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "validate_instance",
     "make_instance",
     "is_feasible",
-    "hall_feasible",
     "find_feasible_point",
     "greedy_extreme_point",
     "support_graph",
@@ -134,6 +132,13 @@ class ProblemInstance:
         }
 
 
+def _is_int(value) -> bool:
+    """An integer index, not a bool: JSON true must not read as 1."""
+    if type(value) is int:
+        return True
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def validate_instance(raw: Mapping) -> ProblemInstance:
     """Build a validated instance from decoded file data.
 
@@ -149,7 +154,7 @@ def validate_instance(raw: Mapping) -> ProblemInstance:
         edges_raw = raw["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"instance document missing field: {exc}") from exc
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
+    if not _is_int(m) or not _is_int(n) or m < 1 or n < 1:
         raise ValueError("m and n must be positive integers")
     if len(demand_raw) != m:
         raise ValueError(f"demand has {len(demand_raw)} entries, expected m={m}")
@@ -182,6 +187,8 @@ def make_instance(
     for e in edges:
         if len(e) != 2:
             raise ValueError(f"bad edge entry: {e!r}")
+        if not (_is_int(e[0]) and _is_int(e[1])):
+            raise ValueError(f"edge indices must be integers: {e!r}")
         edge_list.append((int(e[0]), int(e[1])))
     seen = set()
     for e in edge_list:
@@ -342,25 +349,33 @@ def gcd_combined(demand: Sequence, supply: Sequence) -> Fraction:
     for v in values:
         if v <= 0:
             raise ZeroVector(f"rates must be strictly positive, got {v}")
-    lcm_den = 1
-    for v in values:
-        lcm_den = lcm_den * v.denominator // math.gcd(lcm_den, v.denominator)
-    ints = [int(v * lcm_den) for v in values]
-    g = 0
-    for k in ints:
-        g = math.gcd(g, k)
-    return Fraction(g, lcm_den)
+    lcm_den = _denominator_lcm(values)
+    return Fraction(math.gcd(*(_scaled(v, lcm_den) for v in values)), lcm_den)
+
+
+def _denominator_lcm(values: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators; scales every value to an int."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    """value * scale as an int; scale must be a multiple of value's denominator."""
+    return value.numerator * (scale // value.denominator)
 
 
 # ---------------------------------------------------------------------------
 # Exact max-flow.
 #
 # Node layout: 0 = source, 1..m = demands, m+1..m+n = supplies, m+n+1 = sink.
-# Arc (demand i -> supply j) carries x_ij.  Capacities are Fractions; the
-# "infinite" capacity on instance edges is total+1, which no feasible flow can
-# reach.  Edmonds-Karp keeps the arithmetic exact and the run deterministic;
-# order_seed permutes the adjacency construction so tests can seed the
-# decomposition with genuinely different feasible points.
+# Arc (demand i -> supply j) carries x_ij.  Every rate is scaled by the LCM of
+# the rate denominators, so capacities and flows are Python ints and the
+# arithmetic stays exact; the "infinite" capacity on instance edges is
+# total*lcm + 1, which no feasible flow can reach.  Flows map back to
+# Fractions only in the returned value and in assignment().  Dinic's
+# algorithm: BFS levels, then blocking flows found by an iterative DFS with
+# current-arc pointers that prunes dead ends.  order_seed permutes the edge
+# arcs so tests can seed the decomposition with genuinely different feasible
+# points.
 # ---------------------------------------------------------------------------
 
 
@@ -368,124 +383,105 @@ class _Network:
     def __init__(self, inst: ProblemInstance, order_seed: int = 0):
         self.inst = inst
         m, n = inst.m, inst.n
+        self.scale = scale = _denominator_lcm(inst.demand + inst.supply)
         self.source = 0
         self.sink = m + n + 1
         self.n_nodes = m + n + 2
         self.arc_to: list[int] = []
-        self.arc_cap: list[Fraction] = []
-        self.arc_flow: list[Fraction] = []
+        # residual capacities; arc a ^ 1 is the reverse of arc a
+        self.res: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
         self.edge_arc: dict[tuple[int, int], int] = {}
-        inf = inst.total + 1
         for i in range(1, m + 1):
-            self._add(0, i, inst.demand[i - 1])
+            self._add(0, i, _scaled(inst.demand[i - 1], scale))
         edge_order = list(inst.sorted_edges)
         if order_seed:
             random.Random(order_seed).shuffle(edge_order)
+        inf = _scaled(inst.total, scale) + 1
         for i, j in edge_order:
             self.edge_arc[(i, j)] = self._add(i, m + j, inf)
         for j in range(1, n + 1):
-            self._add(m + j, self.sink, inst.supply[j - 1])
+            self._add(m + j, self.sink, _scaled(inst.supply[j - 1], scale))
 
-    def _add(self, u: int, v: int, cap: Fraction) -> int:
+    def _add(self, u: int, v: int, cap: int) -> int:
         a = len(self.arc_to)
         self.arc_to.extend((v, u))
-        self.arc_cap.extend((Fraction(cap), Fraction(0)))
-        self.arc_flow.extend((Fraction(0), Fraction(0)))
+        self.res.extend((cap, 0))
         self.adj[u].append(a)
         self.adj[v].append(a ^ 1)
         return a
 
-    def residual(self, a: int) -> Fraction:
-        return self.arc_cap[a] - self.arc_flow[a]
+    def _levels(self) -> list[int]:
+        """BFS distance from the source over residual arcs (-1 unreached)."""
+        res, to, adj = self.res, self.arc_to, self.adj
+        level = [-1] * self.n_nodes
+        level[self.source] = 0
+        queue = [self.source]
+        for u in queue:
+            d = level[u] + 1
+            for a in adj[u]:
+                v = to[a]
+                if level[v] < 0 and res[a] > 0:
+                    level[v] = d
+                    queue.append(v)
+        return level
+
+    def _blocking_flow(self, level: list[int]) -> int:
+        """Saturate every shortest augmenting path of the level graph."""
+        res, to, adj = self.res, self.arc_to, self.adj
+        source, sink = self.source, self.sink
+        pointer = [0] * self.n_nodes
+        path: list[int] = []
+        pushed = 0
+        u = source
+        while True:
+            if u == sink:
+                f = min(res[a] for a in path)
+                for a in path:
+                    res[a] -= f
+                    res[a ^ 1] += f
+                pushed += f
+                # resume from the tail of the first arc the push saturated
+                k = next(k for k, a in enumerate(path) if res[a] == 0)
+                del path[k:]
+                u = to[path[-1]] if path else source
+                continue
+            arcs = adj[u]
+            k = pointer[u]
+            want = level[u] + 1
+            while k < len(arcs):
+                a = arcs[k]
+                if res[a] > 0 and level[to[a]] == want:
+                    break
+                k += 1
+            pointer[u] = k
+            if k < len(arcs):
+                path.append(arcs[k])
+                u = to[arcs[k]]
+                continue
+            # dead end: no later path can use u in this phase
+            if u == source:
+                return pushed
+            level[u] = -1
+            a = path.pop()
+            u = to[a ^ 1]
+            pointer[u] += 1
 
     def max_flow(self) -> Fraction:
-        total = Fraction(0)
+        total = 0
         while True:
-            parent_arc = [-1] * self.n_nodes
-            parent_arc[self.source] = -2
-            queue = deque([self.source])
-            while queue:
-                u = queue.popleft()
-                if u == self.sink:
-                    break
-                for a in self.adj[u]:
-                    v = self.arc_to[a]
-                    if parent_arc[v] == -1 and self.residual(a) > 0:
-                        parent_arc[v] = a
-                        queue.append(v)
-            if parent_arc[self.sink] == -1:
-                return total
-            bottleneck = None
-            v = self.sink
-            while v != self.source:
-                a = parent_arc[v]
-                r = self.residual(a)
-                bottleneck = r if bottleneck is None else min(bottleneck, r)
-                v = self.arc_to[a ^ 1]
-            v = self.sink
-            while v != self.source:
-                a = parent_arc[v]
-                self.arc_flow[a] += bottleneck
-                self.arc_flow[a ^ 1] -= bottleneck
-                v = self.arc_to[a ^ 1]
-            total += bottleneck
+            level = self._levels()
+            if level[self.sink] < 0:
+                return Fraction(total, self.scale)
+            total += self._blocking_flow(level)
 
     def assignment(self) -> Assignment:
+        res, scale = self.res, self.scale
         entries = {}
         for (i, j), a in self.edge_arc.items():
-            if self.arc_flow[a] > 0:
-                entries[(i, j)] = self.arc_flow[a]
+            if res[a ^ 1] > 0:
+                entries[(i, j)] = Fraction(res[a ^ 1], scale)
         return Assignment(self.inst.m, self.inst.n, entries)
-
-    def residual_parents(self, start: int) -> list[int]:
-        """BFS over residual arcs; returns parent-arc array (-1 unreached)."""
-        parent_arc = [-1] * self.n_nodes
-        parent_arc[start] = -2
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for a in self.adj[u]:
-                v = self.arc_to[a]
-                if parent_arc[v] == -1 and self.residual(a) > 0:
-                    parent_arc[v] = a
-                    queue.append(v)
-        return parent_arc
-
-    def force_edge_positive(self, i: int, j: int) -> Assignment | None:
-        """Assignment with x_ij > 0 consistent with a max flow, or None.
-
-        Pushes half the bottleneck of a residual cycle through (i, j); using
-        half keeps every previously positive arc positive, which the witness
-        construction for the decomposition relies on.
-        """
-        a = self.edge_arc[(i, j)]
-        if self.arc_flow[a] > 0:
-            return self.assignment()
-        m = self.inst.m
-        parent = self.residual_parents(m + j)
-        if parent[i] == -1:
-            return None
-        # collect residual path j -> i, then close the cycle with arc i -> j
-        path = []
-        v = i
-        while v != m + j:
-            pa = parent[v]
-            path.append(pa)
-            v = self.arc_to[pa ^ 1]
-        theta = self.residual(a)
-        for pa in path:
-            theta = min(theta, self.residual(pa))
-        theta = theta / 2
-        saved = list(self.arc_flow)
-        for pa in path:
-            self.arc_flow[pa] += theta
-            self.arc_flow[pa ^ 1] -= theta
-        self.arc_flow[a] += theta
-        self.arc_flow[a ^ 1] -= theta
-        out = self.assignment()
-        self.arc_flow = saved
-        return out
 
 
 def _solved_network(inst: ProblemInstance, order_seed: int = 0) -> tuple[_Network, bool]:
@@ -498,42 +494,6 @@ def is_feasible(inst: ProblemInstance) -> bool:
     """True iff the polytope is non-empty (all demand routable)."""
     _net, ok = _solved_network(inst)
     return ok
-
-
-def hall_feasible(inst: ProblemInstance, limit: int = 20) -> bool:
-    """Exhaustive capacity-region check; independent oracle for is_feasible.
-
-    Every demand subset must have neighborhood supply at least its demand.
-    Exponential in m, so guarded by `limit`.
-    """
-    if inst.m > limit:
-        raise SizeLimitExceeded(f"m={inst.m} exceeds exhaustive limit {limit}")
-    if inst.total != sum(inst.supply, Fraction(0)):
-        return False
-    nbr_mask = []
-    for i in range(inst.m):
-        mask = 0
-        for j in inst.demand_adj[i]:
-            mask |= 1 << (j - 1)
-        nbr_mask.append(mask)
-    for sub in range(1, 1 << inst.m):
-        dsum = Fraction(0)
-        mask = 0
-        s = sub
-        while s:
-            b = (s & -s).bit_length() - 1
-            dsum += inst.demand[b]
-            mask |= nbr_mask[b]
-            s &= s - 1
-        ssum = Fraction(0)
-        t = mask
-        while t:
-            b = (t & -t).bit_length() - 1
-            ssum += inst.supply[b]
-            t &= t - 1
-        if dsum > ssum:
-            return False
-    return True
 
 
 def find_feasible_point(inst: ProblemInstance, order_seed: int = 0) -> Assignment:

@@ -12,19 +12,16 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
     Assignment,
     ProblemInstance,
     _component_labels,
-    _solved_network,
     find_feasible_point,
     make_instance,
 )
 from .errors import (
-    EdgeNotPresent,
     Infeasible,
     InvariantViolation,
     NotAPartition,
@@ -38,9 +35,6 @@ __all__ = [
     "CrpDag",
     "SscBasis",
     "redundant_edges",
-    "redundancy_oracle",
-    "witness_point",
-    "full_support_point",
     "crp_decomposition",
     "erp_number",
     "crp_condition",
@@ -65,109 +59,76 @@ def redundant_edges(
 ) -> frozenset[tuple[int, int]]:
     """Edges that are zero in every feasible assignment.
 
-    Works from any single feasible point x: for each supply vertex, walk the
-    graph alternating between positive-flow edges (supply to demand) and
-    arbitrary instance edges (demand to supply).  Edges entering the reached
-    supply set from outside the reached demand set can never carry flow.  The
-    result does not depend on which feasible point seeds the walk.
+    Works from any single feasible point x, read as a saturating flow.  Its
+    residual graph on the demand and supply vertices has an arc i -> j for
+    every instance edge and an arc j -> i for every edge with x_ij > 0; the
+    source and sink are dead ends there, because every source and sink arc is
+    saturated.  Flow can move onto edge (i, j) exactly when a residual cycle
+    runs through it, so the edge is redundant exactly when i and j lie in
+    different strongly connected components.  One Tarjan pass finds them in
+    O(m + n + |E|); the result does not depend on which feasible point seeds
+    it.
     """
     if x is None:
         x = find_feasible_point(inst, order_seed=order_seed)
-    m, n = inst.m, inst.n
+    m = inst.m
     if counter is None:
         counter = WorkCounter()
-    # positive-flow adjacency: supports supply -> demand steps
-    flow_adj: list[list[int]] = [[] for _ in range(n)]
+    # vertices 0..m-1 demands, m..m+n-1 supplies
+    adj: list[list[int]] = [[m + j - 1 for j in nbrs] for nbrs in inst.demand_adj]
+    adj.extend([] for _ in range(inst.n))
     for i, j in x.support():
-        flow_adj[j - 1].append(i)
-    result: set[tuple[int, int]] = set()
-    for lam in range(1, n + 1):
-        seen_d = [False] * (m + 1)
-        seen_s = [False] * (n + 1)
-        counter.ops += m + n
-        seen_s[lam] = True
-        frontier = deque([lam])
-        reached: list[int] = []
-        while frontier:
-            j = frontier.popleft()
-            counter.ops += 1
-            for i in flow_adj[j - 1]:
-                counter.ops += 1
-                if seen_d[i]:
-                    continue
-                seen_d[i] = True
-                reached.append(i)
-                for j2 in inst.demand_adj[i - 1]:
-                    counter.ops += 1
-                    if not seen_s[j2]:
-                        seen_s[j2] = True
-                        frontier.append(j2)
-        if not reached:
+        adj[m + j - 1].append(i - 1)
+    comp = _scc_labels(adj, counter)
+    return frozenset((i, j) for i, j in inst.edges if comp[i - 1] != comp[m + j - 1])
+
+
+def _scc_labels(adj: list[list[int]], counter: WorkCounter) -> list[int]:
+    """Strongly connected component label of every vertex (Tarjan, iterative)."""
+    size = len(adj)
+    index = [-1] * size
+    low = [0] * size
+    comp = [-1] * size
+    next_arc = [0] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    count = labels = 0
+    for root in range(size):
+        if index[root] >= 0:
             continue
-        for j in range(1, n + 1):
-            if not seen_s[j]:
-                continue
-            for i in inst.supply_adj[j - 1]:
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        call = [root]
+        while call:
+            u = call[-1]
+            k = next_arc[u]
+            if k < len(adj[u]):
+                next_arc[u] = k + 1
                 counter.ops += 1
-                if not seen_d[i]:
-                    result.add((i, j))
-    return frozenset(result)
-
-
-def redundancy_oracle(inst: ProblemInstance, edge: tuple[int, int]) -> bool:
-    """True iff max{x_e : x feasible} = 0, decided directly on a max flow.
-
-    Independent of the alternating-walk algorithm: the edge can carry flow
-    iff it already does in the computed max flow, or the residual network
-    contains a path from its supply back to its demand (an augmenting cycle
-    through the edge).
-    """
-    edge = (int(edge[0]), int(edge[1]))
-    if edge not in inst.edges:
-        raise EdgeNotPresent(f"edge {edge} not in instance")
-    net, ok = _solved_network(inst)
-    if not ok:
-        raise Infeasible("no feasible assignment")
-    i, j = edge
-    arc = net.edge_arc[edge]
-    if net.arc_flow[arc] > 0:
-        return False
-    return net.residual_parents(inst.m + j)[i] == -1
-
-
-def witness_point(inst: ProblemInstance, edge: tuple[int, int]) -> Assignment | None:
-    """A feasible assignment with the given edge strictly positive, if any."""
-    edge = (int(edge[0]), int(edge[1]))
-    if edge not in inst.edges:
-        raise EdgeNotPresent(f"edge {edge} not in instance")
-    net, ok = _solved_network(inst)
-    if not ok:
-        raise Infeasible("no feasible assignment")
-    return net.force_edge_positive(*edge)
-
-
-def full_support_point(inst: ProblemInstance) -> Assignment:
-    """A feasible point whose support is exactly the non-redundant edges.
-
-    Average of one witness per non-redundant edge; convexity keeps the mean
-    feasible and every witnessed edge positive in it.
-    """
-    net, ok = _solved_network(inst)
-    if not ok:
-        raise Infeasible("no feasible assignment")
-    witnesses = []
-    for edge in inst.sorted_edges:
-        w = net.force_edge_positive(*edge)
-        if w is not None:
-            witnesses.append(w)
-    if not witnesses:
-        return Assignment(inst.m, inst.n, {})
-    k = len(witnesses)
-    acc: dict[tuple[int, int], Fraction] = {}
-    for w in witnesses:
-        for e, v in w.entries.items():
-            acc[e] = acc.get(e, Fraction(0)) + v
-    return Assignment(inst.m, inst.n, {e: v / k for e, v in acc.items()})
+                v = adj[u][k]
+                if index[v] < 0:
+                    index[v] = low[v] = count
+                    count += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                    call.append(v)
+                elif on_stack[v] and index[v] < low[u]:
+                    low[u] = index[v]
+                continue
+            call.pop()
+            if call and low[u] < low[call[-1]]:
+                low[call[-1]] = low[u]
+            if low[u] == index[u]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = labels
+                    if w == u:
+                        break
+                labels += 1
+    return comp
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import ProblemInstance, is_feasible, parse_rational
 from .decomposition import crp_decomposition
-from .errors import Infeasible, InvalidEpsilon, IsolatedServer
+from .errors import Infeasible, InvalidEpsilon, InvariantViolation, IsolatedServer
 
 _CHUNK = 1 << 15
 _ARRIVAL_STREAM = 1
@@ -180,7 +180,8 @@ def step(
         x = qi + ai - si
         qn = x if x > 0 else 0
         un = qn - x
-        assert un >= 0 and un * qn == 0
+        if un < 0 or un * qn != 0:
+            raise InvariantViolation(f"unused service {un} with queue {qn}")
         nxt.append(qn)
         unused.append(un)
     return tuple(nxt), tuple(unused)
@@ -416,7 +417,10 @@ def simulate(
     samples = horizon - warmup
     for rep in range(replications):
         acc = _run_replication(inst, model, mu, horizon, warmup, seed, rep, comp_cols)
-        assert acc.samples == samples
+        if acc.samples != samples:
+            raise InvariantViolation(
+                f"replication {rep} kept {acc.samples} samples, expected {samples}"
+            )
         rep_q_means.append(tuple(float(v) for v in acc.sum_q / samples))
         rep_perp.append(acc.sum_perp / samples)
         rep_norm.append(acc.sum_norm / samples)

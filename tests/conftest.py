@@ -61,24 +61,32 @@ def diagonal_instance(k):
     return make_instance([1] * k, [1] * k, [(i, i) for i in range(1, k + 1)])
 
 
-def random_feasible_instance(rng: random.Random, max_m=6, max_n=6, max_rate=4):
-    """Random balanced integer instance guaranteed feasible.
+def random_feasible_instance(
+    rng: random.Random, max_m=6, max_n=6, max_rate=4, denominators=None
+):
+    """Random balanced instance guaranteed feasible.
 
     Builds a random positive assignment first and reads rates off its
     row/column sums, then sprinkles extra edges; the generating assignment
-    witnesses feasibility.
+    witnesses feasibility.  Entries are integers, or k/d with d drawn from
+    `denominators` when given, so that the rates have mixed denominators.
     """
+
+    def entry():
+        k = rng.randint(1, max_rate)
+        return k if denominators is None else Fraction(k, rng.choice(denominators))
+
     while True:
         m = rng.randint(1, max_m)
         n = rng.randint(1, max_n)
         entries = {}
         for i in range(1, m + 1):
             j = rng.randint(1, n)
-            entries[(i, j)] = entries.get((i, j), 0) + rng.randint(1, max_rate)
+            entries[(i, j)] = entries.get((i, j), 0) + entry()
         for j in range(1, n + 1):
             if not any(e[1] == j for e in entries):
                 i = rng.randint(1, m)
-                entries[(i, j)] = entries.get((i, j), 0) + rng.randint(1, max_rate)
+                entries[(i, j)] = entries.get((i, j), 0) + entry()
         extra = rng.randint(0, m * n // 2)
         edges = set(entries)
         univ = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
@@ -90,3 +98,45 @@ def random_feasible_instance(rng: random.Random, max_m=6, max_n=6, max_rate=4):
             mu[j - 1] += v
         if all(v > 0 for v in nu) and all(v > 0 for v in mu):
             return make_instance(nu, mu, sorted(edges))
+
+
+def planted_block_instance(rng: random.Random, m: int, max_block=10, degree=3.0):
+    """m x m instance with known pooling blocks and known redundant edges.
+
+    Vertices are cut into runs of 1..max_block consecutive indices.  Flow runs
+    on the diagonal and on the path edges (k, k+1) inside each run, so each
+    run pools completely; extra edges stay inside a run or run forward to a
+    later run, and a forward edge can never carry flow.  Demands and supplies
+    then share one random relabelling.  Returns (instance, blocks, forward
+    edges), each block a (demands, supplies) pair of sorted tuples.
+    """
+    block_of = []
+    while len(block_of) < m:
+        size = min(rng.randint(1, max_block), m - len(block_of))
+        block_of.extend([len(set(block_of))] * size)
+    flow = {}
+    for k in range(m):
+        flow[(k, k)] = rng.randint(1, 5)
+        if k + 1 < m and block_of[k + 1] == block_of[k]:
+            flow[(k, k + 1)] = rng.randint(1, 5)
+    edges = set(flow)
+    while len(edges) < degree * m:
+        i, j = rng.randrange(m), rng.randrange(m)
+        if block_of[i] <= block_of[j]:
+            edges.add((i, j))
+    relabel = list(range(1, m + 1))
+    rng.shuffle(relabel)
+    demand = [0] * m
+    supply = [0] * m
+    for (i, j), v in flow.items():
+        demand[relabel[i] - 1] += v
+        supply[relabel[j] - 1] += v
+    members: dict[int, list[int]] = {}
+    for k, b in enumerate(block_of):
+        members.setdefault(b, []).append(relabel[k])
+    blocks = {(tuple(sorted(v)), tuple(sorted(v))) for v in members.values()}
+    forward = frozenset(
+        (relabel[i], relabel[j]) for i, j in edges if block_of[i] < block_of[j]
+    )
+    inst = make_instance(demand, supply, [(relabel[i], relabel[j]) for i, j in edges])
+    return inst, blocks, forward

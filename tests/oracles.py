@@ -10,9 +10,11 @@ module.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
-from procflex.core import Assignment, ProblemInstance, make_instance
+from procflex.core import Assignment, ProblemInstance, find_feasible_point, make_instance
+from procflex.errors import EdgeNotPresent, SizeLimitExceeded
 
 
 def _forest_components(m: int, n: int, edges) -> int | None:
@@ -283,3 +285,159 @@ def gap_by_definition(inst: ProblemInstance):
             if surplus > 0 and (alt_best is None or surplus < alt_best):
                 alt_best = surplus
     return best, alt_best
+
+
+def hall_feasible(inst: ProblemInstance, limit: int = 20) -> bool:
+    """Exhaustive capacity-region check; independent oracle for is_feasible.
+
+    Every demand subset must have neighborhood supply at least its demand.
+    Exponential in m, so guarded by `limit`.
+    """
+    if inst.m > limit:
+        raise SizeLimitExceeded(f"m={inst.m} exceeds exhaustive limit {limit}")
+    if inst.total != sum(inst.supply, Fraction(0)):
+        return False
+    nbr_mask = []
+    for i in range(inst.m):
+        mask = 0
+        for j in inst.demand_adj[i]:
+            mask |= 1 << (j - 1)
+        nbr_mask.append(mask)
+    for sub in range(1, 1 << inst.m):
+        dsum = Fraction(0)
+        mask = 0
+        s = sub
+        while s:
+            b = (s & -s).bit_length() - 1
+            dsum += inst.demand[b]
+            mask |= nbr_mask[b]
+            s &= s - 1
+        ssum = Fraction(0)
+        t = mask
+        while t:
+            b = (t & -t).bit_length() - 1
+            ssum += inst.supply[b]
+            t &= t - 1
+        if dsum > ssum:
+            return False
+    return True
+
+
+class _Residual:
+    """Residual network of one feasible point x, in exact Fractions.
+
+    Nodes: 0 = source, 1..m = demands, m+1..m+n = supplies, m+n+1 = sink.
+    Built from the assignment alone, so it shares no code with the package's
+    integer max flow.
+    """
+
+    def __init__(self, inst: ProblemInstance, x: Assignment):
+        self.inst = inst
+        self.x = x
+        m, n = inst.m, inst.n
+        sink = m + n + 1
+        inf = inst.total + 1
+        rows, cols = x.row_sums(), x.col_sums()
+        self.res: dict[tuple[int, int], Fraction] = {}
+        for i in range(1, m + 1):
+            self.res[(0, i)] = inst.demand[i - 1] - rows[i - 1]
+            self.res[(i, 0)] = rows[i - 1]
+        for i, j in inst.sorted_edges:
+            self.res[(i, m + j)] = inf - x.value(i, j)
+            self.res[(m + j, i)] = x.value(i, j)
+        for j in range(1, n + 1):
+            self.res[(m + j, sink)] = inst.supply[j - 1] - cols[j - 1]
+            self.res[(sink, m + j)] = cols[j - 1]
+        self.out: dict[int, list[int]] = {}
+        for u, v in self.res:
+            self.out.setdefault(u, []).append(v)
+
+    def residual_parents(self, start: int) -> dict[int, int]:
+        """BFS over positive residual arcs; maps each reached node to its parent."""
+        parent = {start: start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in self.out.get(u, ()):
+                if v not in parent and self.res[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
+    def force_edge_positive(self, i: int, j: int) -> Assignment | None:
+        """Assignment with x_ij > 0 obtained from x by one residual cycle, or None.
+
+        Pushes half the bottleneck of the cycle closed by arc i -> j; using
+        half keeps every previously positive entry positive, which the
+        full-support construction relies on.
+        """
+        if self.x.value(i, j) > 0:
+            return self.x
+        m = self.inst.m
+        parent = self.residual_parents(m + j)
+        if i not in parent:
+            return None
+        cycle = [(i, m + j)]
+        v = i
+        while v != m + j:
+            cycle.append((parent[v], v))
+            v = parent[v]
+        theta = min(self.res[arc] for arc in cycle) / 2
+        entries = dict(self.x.entries)
+        for u, v in cycle:
+            if u <= m:  # demand -> supply: more flow on edge (u, v - m)
+                edge = (u, v - m)
+                entries[edge] = entries.get(edge, Fraction(0)) + theta
+            else:  # supply -> demand: less flow on edge (v, u - m)
+                edge = (v, u - m)
+                entries[edge] -= theta
+        return Assignment(self.inst.m, self.inst.n, entries)
+
+
+def _residual(inst: ProblemInstance, edge) -> tuple[_Residual, tuple[int, int]]:
+    edge = (int(edge[0]), int(edge[1]))
+    if edge not in inst.edges:
+        raise EdgeNotPresent(f"edge {edge} not in instance")
+    return _Residual(inst, find_feasible_point(inst)), edge
+
+
+def redundancy_oracle(inst: ProblemInstance, edge) -> bool:
+    """True iff max{x_e : x feasible} = 0, decided on one feasible point.
+
+    The edge can carry flow iff it already does, or the residual network
+    contains a path from its supply back to its demand (an augmenting cycle
+    through the edge).  Checks one edge per residual search, independent of
+    the package's strongly-connected-component pass.
+    """
+    net, (i, j) = _residual(inst, edge)
+    if net.x.value(i, j) > 0:
+        return False
+    return i not in net.residual_parents(inst.m + j)
+
+
+def witness_point(inst: ProblemInstance, edge) -> Assignment | None:
+    """A feasible assignment with the given edge strictly positive, if any."""
+    net, (i, j) = _residual(inst, edge)
+    return net.force_edge_positive(i, j)
+
+
+def full_support_point(inst: ProblemInstance) -> Assignment:
+    """A feasible point whose support is exactly the non-redundant edges.
+
+    Average of one witness per non-redundant edge; convexity keeps the mean
+    feasible and every witnessed edge positive in it.
+    """
+    net = _Residual(inst, find_feasible_point(inst))
+    witnesses = []
+    for edge in inst.sorted_edges:
+        w = net.force_edge_positive(*edge)
+        if w is not None:
+            witnesses.append(w)
+    if not witnesses:
+        return Assignment(inst.m, inst.n, {})
+    k = len(witnesses)
+    acc: dict[tuple[int, int], Fraction] = {}
+    for w in witnesses:
+        for e, v in w.entries.items():
+            acc[e] = acc.get(e, Fraction(0)) + v
+    return Assignment(inst.m, inst.n, {e: v / k for e, v in acc.items()})

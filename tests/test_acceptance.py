@@ -31,11 +31,10 @@ from procflex import (
     simulate,
 )
 from procflex.cli import main
-from procflex.decomposition import redundancy_oracle
 from procflex.planning import erp_trajectory
 
 from .conftest import braess_instance, diagonal_instance, random_feasible_instance
-from .oracles import gap_by_definition
+from .oracles import gap_by_definition, redundancy_oracle
 from .test_design import random_rates
 
 _CACHE: dict[str, object] = {}

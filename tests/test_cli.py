@@ -93,6 +93,15 @@ def test_exit_codes_for_bad_documents(files, capsys, tmp_path):
     code, _, err = run(capsys, "decompose", str(missing_field))
     assert code == 2 and json.loads(err)["error"] == "DocumentError"
 
+    for name, text in (
+        ("half_index", '{"m":2,"n":2,"demand":[1,1],"supply":[1,1],"edges":[[1.5,1],[2,2]]}'),
+        ("bool_size", '{"m":true,"n":1,"demand":[1],"supply":[1],"edges":[[1,1]]}'),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == "" and json.loads(err)["error"] == "DocumentError"
+
     not_json = tmp_path / "noise.json"
     not_json.write_text("demand: 3")
     assert run(capsys, "decompose", str(not_json))[0] == 2

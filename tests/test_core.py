@@ -10,6 +10,7 @@ from procflex.core import check_assignment
 
 from .conftest import random_feasible_instance
 from . import oracles
+from .oracles import hall_feasible
 
 
 def test_validate_minimal_identity():
@@ -40,6 +41,23 @@ def test_validate_edge_out_of_range():
 def test_validate_duplicate_edge():
     with pytest.raises(pf.DuplicateEdge):
         pf.make_instance([1], [1], [(1, 1), (1, 1)])
+
+
+def test_validate_rejects_fractional_edge_index():
+    with pytest.raises(ValueError):
+        pf.make_instance([1, 1], [1, 1], [(1.5, 1), (2, 2)])
+    with pytest.raises(ValueError):
+        pf.validate_instance(
+            {"m": 2, "n": 2, "demand": [1, 1], "supply": [1, 1], "edges": [[1.5, 1], [2, 2]]}
+        )
+
+
+def test_validate_rejects_boolean_sizes():
+    for key in ("m", "n"):
+        doc = {"m": 1, "n": 1, "demand": [1], "supply": [1], "edges": [[1, 1]]}
+        doc[key] = True
+        with pytest.raises(ValueError):
+            pf.validate_instance(doc)
 
 
 def test_validate_three_block(three_block_instance):
@@ -176,7 +194,7 @@ def test_feasibility_matches_hall_oracle_bulk():
             base.m, base.n, base.demand, base.supply, frozenset(keep)
         )
         fast = pf.is_feasible(inst)
-        assert fast == pf.hall_feasible(inst)
+        assert fast == hall_feasible(inst)
         assert fast == (oracles.hall_violated_subset(inst) is None)
         checked += 1
 

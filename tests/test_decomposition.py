@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import procflex as pf
 from procflex.core import check_assignment
-from procflex.decomposition import WorkCounter, full_support_point, witness_point
+from procflex.decomposition import WorkCounter
 
-from .conftest import random_feasible_instance
+from .conftest import planted_block_instance, random_feasible_instance
 from . import oracles
+from .oracles import full_support_point, redundancy_oracle, witness_point
 
 
 def test_redundant_edges_three_block(three_block_instance):
@@ -23,6 +26,14 @@ def test_redundant_edges_none_when_pooled(small_tree_instance):
     assert pf.redundant_edges(small_tree_instance) == frozenset()
 
 
+def test_edges_into_a_zero_rate_supply_are_redundant():
+    # x_12 <= supply_2 = 0 at every feasible point
+    inst = pf.make_instance([1], [1, 0], [(1, 1), (1, 2)])
+    assert pf.redundant_edges(inst) == {(1, 2)}
+    assert oracles.vertex_redundant_edges(inst) == {(1, 2)}
+    assert redundancy_oracle(inst, (1, 2)) is True
+
+
 def test_redundant_edges_seed_independent(three_block_instance, four_pair_instance):
     for inst in (three_block_instance, four_pair_instance):
         results = {pf.redundant_edges(inst, order_seed=s) for s in range(4)}
@@ -30,12 +41,12 @@ def test_redundant_edges_seed_independent(three_block_instance, four_pair_instan
 
 
 def test_redundancy_oracle_spot_checks(three_block_instance):
-    assert pf.redundancy_oracle(three_block_instance, (2, 4)) is True
-    assert pf.redundancy_oracle(three_block_instance, (4, 5)) is False
+    assert redundancy_oracle(three_block_instance, (2, 4)) is True
+    assert redundancy_oracle(three_block_instance, (4, 5)) is False
     one = pf.make_instance([1], [1], [(1, 1)])
-    assert pf.redundancy_oracle(one, (1, 1)) is False
+    assert redundancy_oracle(one, (1, 1)) is False
     with pytest.raises(pf.EdgeNotPresent):
-        pf.redundancy_oracle(three_block_instance, (5, 1))
+        redundancy_oracle(three_block_instance, (5, 1))
 
 
 def test_oracle_equivalence_bulk():
@@ -43,7 +54,7 @@ def test_oracle_equivalence_bulk():
     for _ in range(210):
         inst = random_feasible_instance(rng, max_m=6, max_n=6)
         algo = pf.redundant_edges(inst)
-        per_edge = {e for e in inst.sorted_edges if pf.redundancy_oracle(inst, e)}
+        per_edge = {e for e in inst.sorted_edges if redundancy_oracle(inst, e)}
         assert algo == per_edge
 
 
@@ -52,6 +63,31 @@ def test_algorithm_matches_vertex_enumeration():
     for _ in range(40):
         inst = random_feasible_instance(rng, max_m=3, max_n=3)
         assert pf.redundant_edges(inst) == oracles.vertex_redundant_edges(inst)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_fractional_rates_match_oracles(seed):
+    # coprime denominators: the max flow must scale by their LCM
+    inst = random_feasible_instance(
+        random.Random(seed), max_m=3, max_n=3, denominators=(2, 3, 5, 7)
+    )
+    assume(len({v.denominator for v in inst.demand + inst.supply}) > 1)
+    expected = oracles.vertex_redundant_edges(inst)
+    assert expected == {e for e in inst.sorted_edges if redundancy_oracle(inst, e)}
+    for s in range(4):
+        check_assignment(inst, pf.find_feasible_point(inst, order_seed=s))
+        assert pf.redundant_edges(inst, order_seed=s) == expected
+
+
+def test_planted_blocks_recovered_at_m_1000():
+    inst, blocks, forward = planted_block_instance(random.Random(1000), 1000)
+    dec = pf.crp_decomposition(inst)
+    assert {(c.demands, c.supplies) for c in dec.components} == blocks
+    assert dec.erp_number == len(blocks)
+    assert dec.redundant_edges == forward
+    dag = pf.crp_graph(dec, inst)
+    assert dag.edge_multiplicity_total == len(forward)
 
 
 def test_work_bound(three_block_instance):

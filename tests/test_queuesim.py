@@ -11,6 +11,7 @@ import pytest
 from procflex import (
     Infeasible,
     InvalidEpsilon,
+    InvariantViolation,
     IsolatedServer,
     design_flexibility,
     heavy_traffic_check,
@@ -21,6 +22,7 @@ from procflex import (
     ssc_ratio,
     step,
 )
+from procflex import queuesim
 from procflex.decomposition import crp_decomposition
 from procflex.queuesim import _stream
 
@@ -122,6 +124,22 @@ def test_step_conservation_random():
         for i in range(m):
             assert nxt[i] - q[i] == a[i] - s[i] + u[i]
             assert u[i] >= 0 and u[i] * nxt[i] == 0
+
+
+def test_runtime_invariants_raise_rather_than_assert(monkeypatch):
+    # plain checks, not asserts, so python -O keeps them
+    with pytest.raises(InvariantViolation):
+        step((float("nan"),), (0,), (0,))
+    original = queuesim._run_replication
+
+    def short_replication(*args):
+        acc = original(*args)
+        acc.samples -= 1
+        return acc
+
+    monkeypatch.setattr(queuesim, "_run_replication", short_replication)
+    with pytest.raises(InvariantViolation):
+        simulate(make_instance([1], [1], [(1, 1)]), "0.1", horizon=100)
 
 
 def test_maxweight_beats_random_feasible_splits():
