@@ -83,10 +83,8 @@ from .planning import (
 from .robustness import (
     GapReport,
     PerturbationCheck,
-    alt_crp_gap,
     check_perturbation,
     crp_gap,
-    gap_redundancy_invariance,
 )
 from .queuesim import (
     ArrivalModel,

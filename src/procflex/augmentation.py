@@ -86,18 +86,28 @@ def best_single_edge(
 
     Only (sink component, source component) pairs need be considered: a path
     from a source to a sink extends any path between interior components.
+    A block without demands or without supplies is a single zero-rate vertex
+    that lies on no DAG path between two other blocks, so the scan skips it.
     The representative for a pair is its lexicographically smallest demand
     and supply; ties between pairs resolve to the smallest representative.
     """
     dec = crp_decomposition(inst)
     if dec.erp_number == 1:
         raise AlreadyCrp("graph already pools completely; every edge is neutral")
+    full = {
+        l for l, comp in enumerate(dec.components, start=1)
+        if comp.demands and comp.supplies
+    }
+    if len(full) < 2:
+        raise AlreadyCrp(
+            "at most one block has both demands and supplies;"
+            " no single edge can merge blocks"
+        )
     dag = crp_graph(dec, inst)
-    has_out = {a for (a, _b) in dag.edges}
-    has_in = {b for (_a, b) in dag.edges}
-    labels = range(1, dec.erp_number + 1)
-    sinks = [l for l in labels if l not in has_out]
-    sources = [l for l in labels if l not in has_in]
+    has_out = {a for (a, b) in dag.edges if b in full}
+    has_in = {b for (a, b) in dag.edges if a in full}
+    sinks = sorted(full - has_out)
+    sources = sorted(full - has_in)
     best: tuple[int, tuple[int, int], int, int] | None = None
     for l_sink in sinks:
         for l_src in sources:

@@ -1,23 +1,26 @@
 """Redundant edges, resource-pooling decomposition and the pooling DAG.
 
 An edge is redundant when it carries zero flow in every feasible assignment.
-Removing all redundant edges splits the flexibility graph into connected
-components, each of which pools completely on its own; the component count is
-the effective resource pooling (ERP) number, and the per-component demand
-indicators span the subspace the queue-length vector collapses onto in heavy
-traffic.
+All three structures come from one pass: the strongly connected components
+(SCCs) of the residual graph of a single feasible point.  An edge is
+redundant exactly when its ends lie in different SCCs; the SCCs are the
+pooling blocks, each of which pools completely on its own; and the pooling
+DAG is the condensation of the residual graph, the transportation-polytope
+analogue of the Dulmage-Mendelsohn fine decomposition (Picard and Queyranne
+1980).  The block count is the effective resource pooling (ERP) number, and
+the per-block demand indicators span the subspace the queue-length vector
+collapses onto in heavy traffic.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .core import (
     Assignment,
     ProblemInstance,
-    _component_labels,
     find_feasible_point,
     make_instance,
 )
@@ -69,18 +72,26 @@ def redundant_edges(
     O(m + n + |E|); the result does not depend on which feasible point seeds
     it.
     """
+    comp = _residual_sccs(inst, x, order_seed, counter)
+    m = inst.m
+    return frozenset((i, j) for i, j in inst.edges if comp[i - 1] != comp[m + j - 1])
+
+
+def _residual_sccs(
+    inst: ProblemInstance,
+    x: Assignment | None = None,
+    order_seed: int = 0,
+    counter: WorkCounter | None = None,
+) -> list[int]:
+    """SCC label of every residual vertex: demand i at i-1, supply j at m+j-1."""
     if x is None:
         x = find_feasible_point(inst, order_seed=order_seed)
     m = inst.m
-    if counter is None:
-        counter = WorkCounter()
-    # vertices 0..m-1 demands, m..m+n-1 supplies
     adj: list[list[int]] = [[m + j - 1 for j in nbrs] for nbrs in inst.demand_adj]
     adj.extend([] for _ in range(inst.n))
     for i, j in x.support():
         adj[m + j - 1].append(i - 1)
-    comp = _scc_labels(adj, counter)
-    return frozenset((i, j) for i, j in inst.edges if comp[i - 1] != comp[m + j - 1])
+    return _scc_labels(adj, WorkCounter() if counter is None else counter)
 
 
 def _scc_labels(adj: list[list[int]], counter: WorkCounter) -> list[int]:
@@ -142,12 +153,18 @@ class CrpComponent:
 
 @dataclass(frozen=True)
 class CrpDecomposition:
-    """Components of the graph after dropping redundant edges."""
+    """Pooling blocks: the residual SCCs, with the redundant edges between them.
+
+    demand_labels[i-1] and supply_labels[j-1] are the 1-based labels of the
+    blocks holding demand i and supply j.
+    """
 
     m: int
     n: int
     redundant_edges: frozenset[tuple[int, int]]
     components: tuple[CrpComponent, ...]
+    demand_labels: tuple[int, ...]
+    supply_labels: tuple[int, ...]
 
     @property
     def erp_number(self) -> int:
@@ -155,16 +172,14 @@ class CrpDecomposition:
 
     def component_of_demand(self, i: int) -> int:
         """1-based component label containing demand i."""
-        for l, comp in enumerate(self.components, start=1):
-            if i in comp.demands:
-                return l
-        raise KeyError(i)
+        if not 1 <= i <= self.m:
+            raise KeyError(i)
+        return self.demand_labels[i - 1]
 
     def component_of_supply(self, j: int) -> int:
-        for l, comp in enumerate(self.components, start=1):
-            if j in comp.supplies:
-                return l
-        raise KeyError(j)
+        if not 1 <= j <= self.n:
+            raise KeyError(j)
+        return self.supply_labels[j - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -184,34 +199,42 @@ class CrpDecomposition:
 def crp_decomposition(
     inst: ProblemInstance, order_seed: int = 0
 ) -> CrpDecomposition:
-    """Connected components after removing every redundant edge.
+    """Pooling blocks: the SCCs of the residual graph of one feasible point.
 
-    Components are ordered by their lowest vertex, demands and supplies
-    interleaved (demand i sits at position 2i-1, supply j at 2j), so the
-    numbering is stable and matches the usual drawing order.
+    A kept edge has both ends in one SCC, and every residual arc inside an SCC
+    is a kept instance edge, so the SCCs are exactly the connected components
+    left after removing every redundant edge.  Blocks are ordered by their
+    lowest vertex, demands and supplies interleaved (demand i sits at position
+    2i-1, supply j at 2j), so the numbering is stable and matches the usual
+    drawing order.
     """
-    er = redundant_edges(inst, order_seed=order_seed)
-    kept = inst.edges - er
-    d_labels, s_labels = _component_labels(inst.m, inst.n, kept)
-    groups: dict[int, dict] = {}
-    for i in range(1, inst.m + 1):
-        g = groups.setdefault(d_labels[i - 1], {"d": [], "s": []})
-        g["d"].append(i)
-    for j in range(1, inst.n + 1):
-        g = groups.setdefault(s_labels[j - 1], {"d": [], "s": []})
-        g["s"].append(j)
-
-    def lowest_vertex(g: dict) -> int:
-        cands = [2 * i - 1 for i in g["d"]] + [2 * j for j in g["s"]]
-        return min(cands)
-
-    ordered = sorted(groups.values(), key=lowest_vertex)
-    comps = []
-    for g in ordered:
-        dset = set(g["d"])
-        comp_edges = frozenset(e for e in kept if e[0] in dset)
-        comps.append(CrpComponent(tuple(g["d"]), tuple(g["s"]), comp_edges))
-    return CrpDecomposition(inst.m, inst.n, er, tuple(comps))
+    m, n = inst.m, inst.n
+    comp = _residual_sccs(inst, order_seed=order_seed)
+    label_of_scc: dict[int, int] = {}
+    labels = [0] * (m + n)
+    position = [2 * i - 1 for i in range(1, m + 1)] + [2 * j for j in range(1, n + 1)]
+    for v in sorted(range(m + n), key=position.__getitem__):
+        labels[v] = label_of_scc.setdefault(comp[v], len(label_of_scc) + 1)
+    members: list[tuple[list[int], list[int]]] = [([], []) for _ in label_of_scc]
+    for i in range(1, m + 1):
+        members[labels[i - 1] - 1][0].append(i)
+    for j in range(1, n + 1):
+        members[labels[m + j - 1] - 1][1].append(j)
+    kept: list[list[tuple[int, int]]] = [[] for _ in members]
+    redundant = []
+    for i, j in inst.edges:
+        label = labels[i - 1]
+        if label == labels[m + j - 1]:
+            kept[label - 1].append((i, j))
+        else:
+            redundant.append((i, j))
+    comps = tuple(
+        CrpComponent(tuple(d), tuple(s), frozenset(e))
+        for (d, s), e in zip(members, kept)
+    )
+    return CrpDecomposition(
+        m, n, frozenset(redundant), comps, tuple(labels[:m]), tuple(labels[m:])
+    )
 
 
 def erp_number(inst: ProblemInstance, order_seed: int = 0) -> int:
@@ -219,20 +242,17 @@ def erp_number(inst: ProblemInstance, order_seed: int = 0) -> int:
 
 
 def crp_condition(inst: ProblemInstance) -> bool:
-    """Complete pooling: connected flexibility graph and no redundant edge."""
-    er = redundant_edges(inst)
-    if er:
-        return False
-    d_labels, s_labels = _component_labels(inst.m, inst.n, inst.edges)
-    return max(d_labels + s_labels) == 0
+    """Complete pooling: one residual SCC spans every demand and supply."""
+    return len(set(_residual_sccs(inst))) == 1
 
 
 @dataclass(frozen=True)
 class CrpDag:
-    """Directed multigraph on component labels induced by redundant edges.
+    """The pooling DAG: the condensation of the residual graph on its SCCs.
 
     Edge l1 -> l2 with multiplicity k means k redundant edges run from
-    demands of component l1 to supplies of component l2.  Always acyclic.
+    demands of block l1 to supplies of block l2.  Every arc between two SCCs
+    is such an edge, so this is a condensation and acyclic by construction.
     """
 
     d: int
@@ -279,36 +299,17 @@ class CrpDag:
 
 
 def crp_graph(decomp: CrpDecomposition, inst: ProblemInstance) -> CrpDag:
-    """Collapse redundant edges onto component labels and check acyclicity."""
-    label_d = {}
-    label_s = {}
-    for l, comp in enumerate(decomp.components, start=1):
-        for i in comp.demands:
-            label_d[i] = l
-        for j in comp.supplies:
-            label_s[j] = l
-    multi: Counter = Counter()
-    for i, j in decomp.redundant_edges:
-        multi[(label_d[i], label_s[j])] += 1
-    # Kahn's algorithm; a cycle here means the decomposition itself is broken
-    indeg = [0] * (decomp.erp_number + 1)
-    adj: list[list[int]] = [[] for _ in range(decomp.erp_number + 1)]
-    for (a, b) in multi:
-        adj[a].append(b)
-        indeg[b] += 1
-    queue = deque(l for l in range(1, decomp.erp_number + 1) if indeg[l] == 0)
-    seen = 0
-    while queue:
-        u = queue.popleft()
-        seen += 1
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if seen != decomp.erp_number:
-        raise InvariantViolation("pooling graph contains a directed cycle")
+    """Condense the residual graph: count redundant edges per block pair.
+
+    The blocks are the residual SCCs, so the result is acyclic without a
+    check; only the instance shape is checked, since it comes from the caller.
+    """
     if inst.m != decomp.m or inst.n != decomp.n:
         raise InvariantViolation("decomposition does not match instance shape")
+    multi = Counter(
+        (decomp.demand_labels[i - 1], decomp.supply_labels[j - 1])
+        for i, j in decomp.redundant_edges
+    )
     return CrpDag(decomp.erp_number, dict(multi))
 
 
@@ -325,10 +326,10 @@ class SscBasis:
 
 
 def ssc_basis(decomp: CrpDecomposition) -> SscBasis:
-    vectors = []
-    for comp in decomp.components:
-        dset = set(comp.demands)
-        vectors.append(tuple(1 if i in dset else 0 for i in range(1, decomp.m + 1)))
+    vectors = (
+        tuple(int(l == label) for l in decomp.demand_labels)
+        for label in range(1, decomp.erp_number + 1)
+    )
     return SscBasis(tuple(vectors))
 
 

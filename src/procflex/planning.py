@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .augmentation import add_edge_effect, best_single_edge
+from .augmentation import _effect_from_dag, add_edge_effect, best_single_edge
 from .core import ProblemInstance, parse_rational
-from .decomposition import crp_decomposition
+from .decomposition import crp_decomposition, crp_graph
 from .errors import AlreadyCrp, InvalidK, InvariantViolation
 
 __all__ = [
@@ -182,11 +182,13 @@ class Schedule:
 
     @staticmethod
     def _neutral_edge(cur: ProblemInstance) -> tuple[int, int]:
+        dec = crp_decomposition(cur)
+        dag = crp_graph(dec, cur)
         for i in range(1, cur.m + 1):
             for j in range(1, cur.n + 1):
                 if (i, j) in cur.edges:
                     continue
-                if add_edge_effect(cur, (i, j)).delta == 0:
+                if _effect_from_dag(dec, dag, (i, j)).delta == 0:
                     return (i, j)
         raise ValueError("cannot realize a filler step: no neutral edge left")
 

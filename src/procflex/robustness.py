@@ -19,10 +19,8 @@ from .errors import GapUndefined, InvariantViolation, SizeLimitExceeded
 __all__ = [
     "GapReport",
     "PerturbationCheck",
-    "alt_crp_gap",
     "check_perturbation",
     "crp_gap",
-    "gap_redundancy_invariance",
 ]
 
 
@@ -106,12 +104,6 @@ def crp_gap(inst: ProblemInstance, limit: int = 20) -> GapReport:
     return GapReport(crp_gap=delta, argmin_set=argmin, alt_gap=alt)
 
 
-def alt_crp_gap(inst: ProblemInstance, limit: int = 20) -> Fraction | None:
-    """The gap with inclusion decided by the full edge set."""
-    _kept, (alt, _argmin) = _subset_scan(inst, limit)
-    return alt
-
-
 @dataclass(frozen=True)
 class PerturbationCheck:
     omega: tuple[Fraction, ...]
@@ -177,13 +169,3 @@ def check_perturbation(inst: ProblemInstance, omega, limit: int = 20) -> Perturb
         base_erp=base_erp,
         perturbed_erp=perturbed_erp,
     )
-
-
-def gap_redundancy_invariance(inst: ProblemInstance, limit: int = 20) -> bool:
-    """Does dropping the redundant edges leave the gap exactly unchanged?"""
-    base = crp_gap(inst, limit)
-    if base.crp_gap is None:
-        raise GapUndefined("no demand subset qualifies; the gap is undefined")
-    kept = frozenset(inst.edges) - crp_decomposition(inst).redundant_edges
-    stripped = crp_gap(inst.restricted(kept), limit)
-    return base.crp_gap == stripped.crp_gap

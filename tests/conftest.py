@@ -100,6 +100,34 @@ def random_feasible_instance(
             return make_instance(nu, mu, sorted(edges))
 
 
+def random_instance_with_zero_rates(rng: random.Random, max_m=5, max_n=5, max_rate=4):
+    """Random feasible instance with one to four zero-rate vertices.
+
+    Starts from `random_feasible_instance`, inserts zero-rate demands and
+    supplies at random positions and gives each of them zero to two random
+    edges, so some are isolated and some carry edges that are redundant.
+    """
+    base = random_feasible_instance(rng, max_m, max_n, max_rate)
+
+    def insert_zeros(rates, count):
+        slots: list = list(range(len(rates)))
+        for _ in range(count):
+            slots.insert(rng.randint(0, len(slots)), None)
+        new_index = {k: pos for pos, k in enumerate(slots, start=1) if k is not None}
+        zeros = [pos for pos, k in enumerate(slots, start=1) if k is None]
+        return [0 if k is None else rates[k] for k in slots], new_index, zeros
+
+    zero_demands = rng.randint(0, 2)
+    demand, dmap, zd = insert_zeros(base.demand, zero_demands)
+    supply, smap, zs = insert_zeros(base.supply, rng.randint(0 if zero_demands else 1, 2))
+    edges = {(dmap[i - 1], smap[j - 1]) for i, j in base.edges}
+    for i in zd:
+        edges.update((i, rng.randint(1, len(supply))) for _ in range(rng.randint(0, 2)))
+    for j in zs:
+        edges.update((rng.randint(1, len(demand)), j) for _ in range(rng.randint(0, 2)))
+    return make_instance(demand, supply, sorted(edges))
+
+
 def planted_block_instance(rng: random.Random, m: int, max_block=10, degree=3.0):
     """m x m instance with known pooling blocks and known redundant edges.
 

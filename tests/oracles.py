@@ -14,7 +14,9 @@ from collections import deque
 from fractions import Fraction
 
 from procflex.core import Assignment, ProblemInstance, find_feasible_point, make_instance
-from procflex.errors import EdgeNotPresent, SizeLimitExceeded
+from procflex.decomposition import crp_decomposition
+from procflex.errors import EdgeNotPresent, GapUndefined, SizeLimitExceeded
+from procflex.robustness import crp_gap
 
 
 def _forest_components(m: int, n: int, edges) -> int | None:
@@ -441,3 +443,64 @@ def full_support_point(inst: ProblemInstance) -> Assignment:
         for e, v in w.entries.items():
             acc[e] = acc.get(e, Fraction(0)) + v
     return Assignment(inst.m, inst.n, {e: v / k for e, v in acc.items()})
+
+
+def union_find_blocks(inst: ProblemInstance, redundant) -> list:
+    """Pooling blocks as the connected components of inst.edges - redundant.
+
+    Plain union-find on the kept edges.  Each block is (demands, supplies,
+    kept edges), ordered by lowest vertex with demand i at 2i-1 and supply j
+    at 2j.
+    """
+    m, n = inst.m, inst.n
+    parent = list(range(m + n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    kept = inst.edges - frozenset(redundant)
+    for i, j in kept:
+        parent[find(i - 1)] = find(m + j - 1)
+    groups: dict = {}
+    for v in range(m + n):
+        groups.setdefault(find(v), []).append(v)
+    blocks = []
+    for vs in groups.values():
+        demands = tuple(v + 1 for v in vs if v < m)
+        supplies = tuple(v - m + 1 for v in vs if v >= m)
+        edges = frozenset(e for e in kept if e[0] in demands or e[1] in supplies)
+        lowest = min([2 * i - 1 for i in demands] + [2 * j for j in supplies])
+        blocks.append((lowest, demands, supplies, edges))
+    return [block[1:] for block in sorted(blocks, key=lambda b: b[0])]
+
+
+def topological_order(d: int, edges) -> list | None:
+    """Kahn's algorithm on labels 1..d; None when the edges hold a cycle."""
+    indeg = [0] * (d + 1)
+    adj: list = [[] for _ in range(d + 1)]
+    for a, b in edges:
+        adj[a].append(b)
+        indeg[b] += 1
+    queue = deque(l for l in range(1, d + 1) if indeg[l] == 0)
+    order = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in adj[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return order if len(order) == d else None
+
+
+def gap_redundancy_invariance(inst: ProblemInstance, limit: int = 20) -> bool:
+    """Does dropping the redundant edges leave the gap exactly unchanged?"""
+    base = crp_gap(inst, limit)
+    if base.crp_gap is None:
+        raise GapUndefined("no demand subset qualifies; the gap is undefined")
+    kept = frozenset(inst.edges) - crp_decomposition(inst).redundant_edges
+    stripped = crp_gap(inst.restricted(kept), limit)
+    return base.crp_gap == stripped.crp_gap

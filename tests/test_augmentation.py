@@ -12,9 +12,10 @@ from procflex import (
     add_edge_effect,
     best_single_edge,
     crp_decomposition,
+    make_instance,
 )
 
-from .conftest import random_feasible_instance
+from .conftest import random_feasible_instance, random_instance_with_zero_rates
 
 
 def all_absent_edges(inst):
@@ -92,28 +93,51 @@ def test_effect_agrees_with_recomputation():
 
 def test_best_edge_attains_the_optimum_merge():
     rng = random.Random(47)
-    nontrivial = 0
-    for _ in range(80):
-        inst = random_feasible_instance(rng, 5, 5, 4)
+    nontrivial = zero_rate_nontrivial = 0
+    for k in range(200):
+        if k < 80:
+            inst = random_feasible_instance(rng, 5, 5, 4)
+        else:
+            inst = random_instance_with_zero_rates(rng, 5, 5, 4)
         dec = crp_decomposition(inst)
         absent = all_absent_edges(inst)
         if dec.erp_number == 1 or not absent:
             continue
         best_delta = min(add_edge_effect(inst, e).delta for e in absent)
-        edge, eff = best_single_edge(inst)
+        try:
+            edge, eff = best_single_edge(inst)
+        except AlreadyCrp:
+            assert best_delta == 0
+            continue
         assert eff.delta == best_delta
         assert edge in absent
         if best_delta < 0:
             nontrivial += 1
+            zero_rate_nontrivial += k >= 80
     assert nontrivial >= 10
+    assert zero_rate_nontrivial >= 10
+
+
+def test_zero_rate_blocks_are_left_out_of_the_scan():
+    # demand 3 and supply 3 have rate 0: each is a block of one vertex
+    inst = make_instance([1, 1, 0], [1, 1, 0], [(1, 1), (2, 2), (1, 2), (2, 3)])
+    assert [(c.demands, c.supplies) for c in crp_decomposition(inst).components] == [
+        ((1,), (1,)), ((2,), (2,)), ((3,), ()), ((), (3,)),
+    ]
+    edge, eff = best_single_edge(inst)
+    assert edge == (2, 1)
+    assert eff.cycle_vertices == frozenset({1, 2})
+    assert eff.new_erp == 3 and eff.delta == -1
+    # one block with both sides plus zero-rate vertices: nothing can merge
+    one = make_instance([1, 0], [1, 0], [(1, 1), (2, 1)])
+    with pytest.raises(AlreadyCrp, match="no single edge can merge blocks"):
+        best_single_edge(one)
 
 
 def test_tie_break_prefers_smallest_pair():
     # fully separate diagonal pairs: every cross edge merges at most two
     # blocks only after a first neutral edge, so the first pick is neutral
     # and must be the smallest absent pair
-    from procflex import make_instance
-
     inst = make_instance([1, 1, 1], [1, 1, 1], [(i, i) for i in range(1, 4)])
     edge, eff = best_single_edge(inst)
     assert edge == (1, 2)

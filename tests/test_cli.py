@@ -20,12 +20,20 @@ THREE_BLOCK = {
     ],
 }
 TWO = {"m": 2, "n": 2, "demand": [1, 1], "supply": [1, 1], "edges": [[1, 1], [2, 2]]}
+# demand 3 and supply 3 have rate 0, so each is a block without the other side
+ZERO_RATE = {
+    "m": 3,
+    "n": 3,
+    "demand": [1, 1, 0],
+    "supply": [1, 1, 0],
+    "edges": [[1, 1], [2, 2], [1, 2], [2, 3]],
+}
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, doc in (("blocks", THREE_BLOCK), ("two", TWO)):
+    for name, doc in (("blocks", THREE_BLOCK), ("two", TWO), ("zero", ZERO_RATE)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -159,6 +167,18 @@ def test_augment_verbs(files, capsys):
     assert run(capsys, "augment", "--edge", "one,two", files["blocks"])[0] == 2
     assert run(capsys, "augment", files["blocks"])[0] == 2
     assert run(capsys, "augment", "--best", "--edge", "1,2", files["blocks"])[0] == 2
+
+
+def test_augment_best_skips_zero_rate_blocks(files, capsys, tmp_path):
+    code, out, err = run(capsys, "augment", "--best", files["zero"])
+    assert code == 0, err
+    result = envelope(out)["result"]
+    assert result["edge"] == [2, 1] and result["cycle_vertices"] == [1, 2]
+    assert result["new_erp"] == 3 and result["delta"] == -1
+    doc = tmp_path / "zero_best.json"
+    doc.write_text(out)
+    code, out, _ = run(capsys, "verify", str(doc))
+    assert code == 0 and envelope(out)["result"]["verified"] is True
 
 
 def test_plan_verb(files, capsys, tmp_path):

@@ -9,9 +9,19 @@ import procflex as pf
 from procflex.core import check_assignment
 from procflex.decomposition import WorkCounter
 
-from .conftest import planted_block_instance, random_feasible_instance
+from .conftest import (
+    planted_block_instance,
+    random_feasible_instance,
+    random_instance_with_zero_rates,
+)
 from . import oracles
-from .oracles import full_support_point, redundancy_oracle, witness_point
+from .oracles import (
+    full_support_point,
+    redundancy_oracle,
+    topological_order,
+    union_find_blocks,
+    witness_point,
+)
 
 
 def test_redundant_edges_three_block(three_block_instance):
@@ -199,11 +209,70 @@ def test_crp_graph_single_component(small_tree_instance):
 
 def test_crp_graph_acyclic_bulk():
     rng = random.Random(303)
-    for _ in range(80):
-        inst = random_feasible_instance(rng, max_m=6, max_n=6)
+    for k in range(120):
+        if k < 80:
+            inst = random_feasible_instance(rng, max_m=6, max_n=6)
+        else:
+            inst = random_instance_with_zero_rates(rng, max_m=6, max_n=6)
         dec = pf.crp_decomposition(inst)
-        dag = pf.crp_graph(dec, inst)  # raises InvariantViolation on a cycle
+        dag = pf.crp_graph(dec, inst)
+        order = topological_order(dag.d, dag.edges)
+        assert order is not None, (inst, dag)
+        assert sorted(order) == list(range(1, dag.d + 1))
         assert dag.edge_multiplicity_total == len(dec.redundant_edges)
+
+
+def test_topological_order_oracle_detects_cycles():
+    assert topological_order(3, [(1, 2), (2, 3)]) == [1, 2, 3]
+    assert topological_order(3, [(1, 2), (2, 3), (3, 1)]) is None
+    assert topological_order(2, [(1, 1)]) is None
+
+
+def test_blocks_match_union_find_oracle():
+    rng = random.Random(2718)
+    zero_rate_blocks = 0
+    for k in range(160):
+        if k % 2:
+            inst = random_instance_with_zero_rates(rng, max_m=5, max_n=5)
+        else:
+            inst = random_feasible_instance(rng, max_m=5, max_n=5)
+        redundant = {e for e in inst.sorted_edges if redundancy_oracle(inst, e)}
+        blocks = union_find_blocks(inst, redundant)
+        label = {}
+        for l, (demands, supplies, _edges) in enumerate(blocks, start=1):
+            label.update({("d", i): l for i in demands})
+            label.update({("s", j): l for j in supplies})
+        dag_edges = {}
+        for i, j in redundant:
+            key = (label[("d", i)], label[("s", j)])
+            dag_edges[key] = dag_edges.get(key, 0) + 1
+        for seed in range(4):
+            dec = pf.crp_decomposition(inst, order_seed=seed)
+            assert dec.redundant_edges == redundant
+            assert [(c.demands, c.supplies, c.edges) for c in dec.components] == blocks
+            for i in range(1, inst.m + 1):
+                assert dec.component_of_demand(i) == label[("d", i)]
+            for j in range(1, inst.n + 1):
+                assert dec.component_of_supply(j) == label[("s", j)]
+            assert dict(pf.crp_graph(dec, inst).edges) == dag_edges
+        assert pf.crp_condition(inst) == (len(blocks) == 1 and not redundant)
+        zero_rate_blocks += sum(1 for d, s, _e in blocks if not d or not s)
+    assert zero_rate_blocks >= 80
+
+
+def test_component_lookup_rejects_out_of_range(three_block_instance):
+    dec = pf.crp_decomposition(three_block_instance)
+    for bad in (0, -1, 6):
+        with pytest.raises(KeyError):
+            dec.component_of_demand(bad)
+        with pytest.raises(KeyError):
+            dec.component_of_supply(bad)
+
+
+def test_crp_graph_rejects_a_shape_mismatch(three_block_instance, four_pair_instance):
+    dec = pf.crp_decomposition(three_block_instance)
+    with pytest.raises(pf.InvariantViolation):
+        pf.crp_graph(dec, four_pair_instance)
 
 
 def test_ssc_basis(three_block_instance, small_tree_instance, four_pair_instance):

@@ -1,6 +1,7 @@
 """Structured schedules, the planning DP, and greedy-vs-optimal comparisons."""
 
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from procflex import (
     EdgeAlreadyPresent,
     InvalidK,
+    Schedule,
+    add_edge_effect,
     crp_decomposition,
     erp_trajectory,
     greedy_vs_optimal_report,
@@ -16,6 +19,8 @@ from procflex import (
     plan_schedule,
     structured_schedule,
 )
+
+from .conftest import random_feasible_instance, random_instance_with_zero_rates
 
 
 def diagonal(eta):
@@ -263,3 +268,25 @@ def test_greedy_vs_optimal_edge_cases(four_pair_instance):
     assert rep.optimal_mode == "unavailable"
     assert rep.optimal_edges is None
     assert "brute-force" in rep.note
+
+
+def test_neutral_edge_matches_per_edge_probes(four_pair_instance):
+    rng = random.Random(1618)
+    zero_supply = make_instance([1], [1, 0], [(1, 1), (1, 2)])
+    cases = [four_pair_instance, diagonal(1), zero_supply]
+    for k in range(60):
+        make = random_instance_with_zero_rates if k % 2 else random_feasible_instance
+        cases.append(make(rng, 4, 4, 4))
+    for inst in cases:
+        absent = [
+            (i, j)
+            for i in range(1, inst.m + 1)
+            for j in range(1, inst.n + 1)
+            if (i, j) not in inst.edges
+        ]
+        want = next((e for e in absent if add_edge_effect(inst, e).delta == 0), None)
+        if want is None:
+            with pytest.raises(ValueError, match="no neutral edge left"):
+                Schedule._neutral_edge(inst)
+        else:
+            assert Schedule._neutral_edge(inst) == want
