@@ -40,7 +40,6 @@ from .core import (
     format_rational,
     gcd_combined,
     greedy_extreme_point,
-    is_extreme_point,
     is_feasible,
     make_instance,
     parse_rational,
@@ -57,7 +56,6 @@ from .decomposition import (
     erp_number,
     redundant_edges,
     ssc_basis,
-    verify_decomposition,
 )
 from .design import (
     BalancedCover,
@@ -93,10 +91,7 @@ from .queuesim import (
     SimStats,
     heavy_traffic_check,
     make_arrival_model,
-    maxweight_schedule,
     simulate,
-    ssc_ratio,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -1,46 +1,61 @@
 """Command line front end.
 
-Verbs mirror the library: validate, decompose, design, gap, augment, plan,
-simulate, verify.  Instances travel as JSON documents with fields m, n,
-demand, supply, edges; rationals are integers or exact strings like "3/2".
-Results are wrapped in a single envelope {schema_version, command, seed,
-input, options, result} printed with sorted keys, so equal inputs produce
-byte-identical output.  `simulate` emits CSV by default (sweeps want columns,
-not trees); `--format json` switches it to the envelope.
+Each verb mirrors a library call and is one entry of the table `_VERBS`: its
+arguments, one options check and one result builder.  Running a verb and
+`verify` both go through that entry, so a stored envelope's options are
+checked exactly as argv is.  Instances travel as JSON documents with fields
+m, n, demand, supply, edges; rationals are integers or exact strings like
+"3/2".  Results are wrapped in a single envelope {schema_version, command,
+seed, input, options, result} printed with sorted keys, so equal inputs
+produce byte-identical output.  `simulate` emits CSV by default (sweeps want
+columns, not trees); `--format json` switches it to the envelope.
 
 Exit codes: 0 success, 1 domain errors (infeasible instance, invalid target,
-failed verification), 2 malformed documents, unreadable files or bad usage.
+failed verification, a simulation above MAX_SIM_STEPS steps), 2 malformed
+documents (an envelope given to verify with mistyped options or input too),
+unreadable files or bad usage.  Every failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import sys
+from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import Any, Callable
 
 from .augmentation import add_edge_effect, best_single_edge
-from .core import (
-    Assignment,
-    ProblemInstance,
-    format_rational,
-    is_feasible,
-    parse_rational,
-    validate_instance,
-)
+from .core import ProblemInstance, format_rational, is_feasible, parse_rational
+from .core import validate_instance
 from .decomposition import crp_decomposition, crp_graph, ssc_basis
 from .design import design_flexibility
-from .errors import ProcflexError, VerificationFailed
+from .errors import ProcflexError, SizeLimitExceeded, VerificationFailed
 from .planning import plan_schedule
 from .queuesim import heavy_traffic_check
 from .robustness import check_perturbation, crp_gap
 
 SCHEMA_VERSION = 1
 
+# Most steps (horizon x reps x eps values) one simulate request may ask for:
+# about three minutes of the general MaxWeight path on a 4x4 graph (276k
+# steps/s measured, Python 3.11, one core) and sixteen on the 20-chain (52k
+# steps/s).  The largest sweep in the test suite (gate 07) fits.
+MAX_SIM_STEPS = 50_000_000
+
 
 class DocumentError(Exception):
     """Malformed or unreadable input; rendered with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # raise rather than print usage, so main reports one JSON line
+        raise DocumentError(f"usage: {message}")
 
 
 def _load_json(path: str):
@@ -51,216 +66,159 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_instance(path: str) -> ProblemInstance:
-    doc = _load_json(path)
+def _instance(doc, where: str) -> ProblemInstance:
     try:
         return validate_instance(doc)
     except (ValueError, TypeError) as exc:
         # structural problems are parse errors; rate/edge domain errors pass
-        raise DocumentError(f"{path}: {exc}") from exc
-
-
-def _instance_from_doc(doc) -> ProblemInstance:
-    try:
-        return validate_instance(doc)
-    except (ValueError, TypeError) as exc:
-        raise DocumentError(f"embedded instance is malformed: {exc}") from exc
-
-
-def _assignment_doc(assignment: Assignment) -> list:
-    return [[i, j, str(v)] for (i, j), v in sorted(assignment.entries.items())]
+        raise DocumentError(f"{where}: {exc}") from exc
 
 
 def _envelope(command: str, seed: int, input_doc, options: dict, result) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "seed": seed,
-        "input": input_doc,
-        "options": options,
-        "result": result,
-    }
+    doc = dict(schema_version=SCHEMA_VERSION, command=command, seed=seed,
+               input=input_doc, options=options, result=result)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# result builders, shared by the direct verbs and by verify's replay
+# options checks: parsed argv or a stored envelope's options in, the options
+# the envelope records out.  Only types and shapes are checked here; values
+# out of range are the library's to reject.
 
 
-def _result_validate(inst: ProblemInstance) -> dict:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, list) and all(ok(v) for v in value)
+
+
+def _or_none(ok):
+    return lambda value: value is None or ok(value)
+
+
+_INT = (_is_int, "an integer")
+_RATIONAL_ROWS = _list_of(_list_of(lambda v: isinstance(v, str)))
+
+
+def _fields(**spec):
+    """A check requiring each key of spec with a value its predicate accepts."""
+
+    def check(opts: dict) -> dict:
+        for key, (ok, what) in spec.items():
+            if key not in opts or not ok(opts[key]):
+                raise DocumentError(f"options need {key!r}: {what}")
+        return {key: opts[key] for key in spec}
+
+    return check
+
+
+def _objective(value) -> bool:
+    tables = value.get("tables") if isinstance(value, dict) else None
+    return value in ("sum", "final") or _RATIONAL_ROWS(tables)
+
+
+def _augment_options(opts: dict) -> dict:
+    if opts.get("best") is True:
+        return {"best": True}
+    pair = (lambda v: _list_of(_is_int)(v) and len(v) == 2, "[i, j] unless best is true")
+    return _fields(edge=pair)(opts)
+
+
+def _simulate_options(opts: dict) -> dict:
+    options = _fields(
+        eps=(_list_of(lambda v: isinstance(v, str)), "a list of rationals"),
+        horizon=_INT,
+        warmup=(_or_none(_is_int), "null or an integer"),
+        reps=_INT,
+        levels=(_or_none(_list_of(_is_int)), "null or a list of integers"),
+        format=(lambda v: v in ("csv", "json"), "csv or json"),
+    )(opts)
+    steps = options["horizon"] * options["reps"] * len(options["eps"])
+    if steps > MAX_SIM_STEPS:
+        raise SizeLimitExceeded(
+            f"simulate asks for {steps} steps (horizon x reps x eps values); "
+            f"the limit is {MAX_SIM_STEPS}"
+        )
+    return options
+
+
+# ---------------------------------------------------------------------------
+# result builders: (input, checked options, seed) -> result
+
+
+def _validate(inst: ProblemInstance, options: dict, seed: int) -> dict:
     out = inst.to_dict()
     out["total"] = format_rational(inst.total)
     out["feasible"] = is_feasible(inst)
     return out
 
 
-def _result_decompose(inst: ProblemInstance) -> dict:
+def _decompose(inst: ProblemInstance, options: dict, seed: int) -> dict:
     decomp = crp_decomposition(inst)
-    dag = crp_graph(decomp, inst)
-    basis = ssc_basis(decomp)
     out = decomp.to_dict()
     for comp, entry in zip(decomp.components, out["components"]):
-        entry["demand_total"] = format_rational(
-            sum((inst.demand[i - 1] for i in comp.demands), Fraction(0))
-        )
-        entry["supply_total"] = format_rational(
-            sum((inst.supply[j - 1] for j in comp.supplies), Fraction(0))
-        )
-    out["crp_graph"] = dag.to_dict()
-    out["ssc_basis"] = [list(v) for v in basis.vectors]
+        demand = sum((inst.demand[i - 1] for i in comp.demands), Fraction(0))
+        supply = sum((inst.supply[j - 1] for j in comp.supplies), Fraction(0))
+        entry["demand_total"] = format_rational(demand)
+        entry["supply_total"] = format_rational(supply)
+    out["crp_graph"] = crp_graph(decomp, inst).to_dict()
+    out["ssc_basis"] = [list(v) for v in ssc_basis(decomp).vectors]
     return out
 
 
-def _result_design(inst: ProblemInstance, erp: int) -> dict:
-    res = design_flexibility(inst.demand, inst.supply, erp)
+def _design(inst: ProblemInstance, options: dict, seed: int) -> dict:
+    res = design_flexibility(inst.demand, inst.supply, options["erp"])
+    entries = res.assignment.entries
     return {
         "erp": res.achieved_erp,
         "edge_count": res.edge_count,
         "edges": [list(e) for e in sorted(res.edges)],
-        "assignment": _assignment_doc(res.assignment),
+        "assignment": [[i, j, str(v)] for (i, j), v in sorted(entries.items())],
         "used_cycle": res.used_cycle,
     }
 
 
-def _result_gap(inst: ProblemInstance, omegas: list | None) -> dict:
+def _gap(inst: ProblemInstance, options: dict, seed: int) -> dict:
     out = crp_gap(inst).to_dict()
-    if omegas is not None:
-        checks = []
-        for omega in omegas:
-            vec = [parse_rational(w) for w in omega]
-            checks.append(check_perturbation(inst, vec).to_dict())
-        out["perturbations"] = checks
+    if options["perturb"] is not None:
+        out["perturbations"] = [
+            check_perturbation(inst, [parse_rational(w) for w in omega]).to_dict()
+            for omega in options["perturb"]
+        ]
     return out
 
 
-def _result_augment(inst: ProblemInstance, edge, best: bool) -> dict:
-    if best:
-        _, effect = best_single_edge(inst)
-    else:
-        effect = add_edge_effect(inst, tuple(edge))
-    return effect.to_dict()
+def _augment(inst: ProblemInstance, options: dict, seed: int) -> dict:
+    if options.get("best"):
+        return best_single_edge(inst)[1].to_dict()
+    return add_edge_effect(inst, tuple(options["edge"])).to_dict()
 
 
-def _result_plan(eta: int, budget: int, objective_opt) -> dict:
-    spec = objective_opt["tables"] if isinstance(objective_opt, dict) else objective_opt
-    return plan_schedule(eta, budget, spec).to_dict()
+def _plan(inst: None, options: dict, seed: int) -> dict:
+    objective = options["objective"]
+    spec = objective["tables"] if isinstance(objective, dict) else objective
+    return plan_schedule(options["eta"], options["budget"], spec).to_dict()
 
 
-def _result_simulate(inst: ProblemInstance, opts: dict, seed: int) -> dict:
+def _simulate(inst: ProblemInstance, options: dict, seed: int) -> dict:
     report = heavy_traffic_check(
-        inst,
-        opts["eps"],
-        horizon=opts["horizon"],
-        warmup=opts["warmup"],
-        seed=seed,
-        replications=opts["reps"],
-        arrival_levels=opts["levels"],
+        inst, options["eps"], horizon=options["horizon"], warmup=options["warmup"],
+        seed=seed, replications=options["reps"], arrival_levels=options["levels"],
     )
     return report.to_dict()
 
 
-# ---------------------------------------------------------------------------
-# verb handlers
-
-
-def _cmd_validate(args) -> int:
-    inst = _load_instance(args.instance)
-    sys.stdout.write(
-        _envelope("validate", args.seed, inst.to_dict(), {}, _result_validate(inst))
-    )
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    inst = _load_instance(args.instance)
-    sys.stdout.write(
-        _envelope("decompose", args.seed, inst.to_dict(), {}, _result_decompose(inst))
-    )
-    return 0
-
-
-def _cmd_design(args) -> int:
-    inst = _load_instance(args.instance)
-    options = {"erp": args.erp}
-    result = _result_design(inst, args.erp)
-    sys.stdout.write(_envelope("design", args.seed, inst.to_dict(), options, result))
-    return 0
-
-
-def _parse_perturb_file(path: str) -> list:
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "omegas" in doc:
-        omegas = doc["omegas"]
-    elif isinstance(doc, dict) and "omega" in doc:
-        omegas = [doc["omega"]]
-    else:
-        raise DocumentError(f"{path}: expected an object with 'omega' or 'omegas'")
-    if not isinstance(omegas, list) or not all(isinstance(o, list) for o in omegas):
-        raise DocumentError(f"{path}: omegas must be lists of rationals")
-    return [[str(w) for w in o] for o in omegas]
-
-
-def _cmd_gap(args) -> int:
-    inst = _load_instance(args.instance)
-    omegas = _parse_perturb_file(args.perturb) if args.perturb else None
-    options = {"perturb": omegas}
-    result = _result_gap(inst, omegas)
-    sys.stdout.write(_envelope("gap", args.seed, inst.to_dict(), options, result))
-    return 0
-
-
-def _cmd_augment(args) -> int:
-    inst = _load_instance(args.instance)
-    options = {"best": True} if args.best else {"edge": list(args.edge)}
-    result = _result_augment(inst, args.edge, args.best)
-    sys.stdout.write(_envelope("augment", args.seed, inst.to_dict(), options, result))
-    return 0
-
-
-def _objective_option(spec: str):
-    """Normalize --objective into an envelope-storable value."""
-    if spec in ("sum", "final"):
-        return spec
-    if spec.startswith("file:"):
-        path = spec[5:]
-        doc = _load_json(path)
-        if not isinstance(doc, list):
-            raise DocumentError(f"{path}: objective tables must be a list of rows")
-        try:
-            tables = [[format_rational(parse_rational(v)) for v in row] for row in doc]
-        except (ValueError, TypeError) as exc:
-            raise DocumentError(f"{path}: {exc}") from exc
-        return {"tables": tables}
-    raise DocumentError(f"unknown objective {spec!r}; use sum, final or file:<path>")
-
-
-def _cmd_plan(args) -> int:
-    objective_opt = _objective_option(args.objective)
-    options = {"eta": args.eta, "budget": args.budget, "objective": objective_opt}
-    result = _result_plan(args.eta, args.budget, objective_opt)
-    sys.stdout.write(_envelope("plan", args.seed, None, options, result))
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    inst = _load_instance(args.instance)
-    opts = {
-        "eps": args.eps,
-        "horizon": args.horizon,
-        "warmup": args.warmup,
-        "reps": args.reps,
-        "levels": args.levels,
-        "format": args.format,
-    }
-    result = _result_simulate(inst, opts, args.seed)
-    if args.format == "json":
-        sys.stdout.write(_envelope("simulate", args.seed, inst.to_dict(), opts, result))
-        return 0
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+def _simulate_csv(inst: ProblemInstance, options: dict, result: dict) -> str | None:
+    if options["format"] == "json":
+        return None
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     header = ["eps"]
     header += [f"q_mean_{i}" for i in range(1, inst.m + 1)]
     header += ["lhs", "rhs", "ratio", "ssc_ratio", "lhs_se", "ssc_se"]
@@ -268,81 +226,68 @@ def _cmd_simulate(args) -> int:
     for row in result["rows"]:
         record = [row["eps"]]
         record += [repr(v) for v in row["queue_means"]]
-        record += [
-            repr(row["lhs"]),
-            result["rhs"],
-            repr(row["ratio"]),
-            repr(row["ssc_ratio"]),
-            repr(row["lhs_se"]),
-            repr(row["ssc_se"]),
-        ]
+        record += [repr(row["lhs"]), result["rhs"], repr(row["ratio"])]
+        record += [repr(row[k]) for k in ("ssc_ratio", "lhs_se", "ssc_se")]
         writer.writerow(record)
-    return 0
+    return out.getvalue()
 
 
-def _replay(doc) -> dict:
-    """Recompute the result a stored envelope claims."""
-    try:
-        command = doc["command"]
-        seed = doc["seed"]
-        options = doc["options"]
-        input_doc = doc["input"]
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"envelope missing field: {exc}") from exc
-    inst = _instance_from_doc(input_doc) if input_doc is not None else None
-    if command == "validate":
-        return _result_validate(inst)
-    if command == "decompose":
-        return _result_decompose(inst)
-    if command == "design":
-        return _result_design(inst, options["erp"])
-    if command == "gap":
-        return _result_gap(inst, options.get("perturb"))
-    if command == "augment":
-        return _result_augment(inst, options.get("edge"), options.get("best", False))
-    if command == "plan":
-        return _result_plan(options["eta"], options["budget"], options["objective"])
-    if command == "simulate":
-        return _result_simulate(inst, options, seed)
-    raise DocumentError(f"cannot verify command {command!r}")
+def _input(verb: _Verb, doc, where: str):
+    """What a verb's result builder takes from the document it reads."""
+    if verb.reads == "instance":
+        return _instance(doc, where)
+    if verb.reads is None and doc is not None:
+        raise DocumentError(f"{where}: this verb takes no input")
+    return doc
 
 
-def _cmd_verify(args) -> int:
-    doc = _load_json(args.document)
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+def _verify(doc, options: dict, seed: int) -> dict:
+    """Recompute the result a stored envelope claims, through the verb table."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise DocumentError("not a result document with a known schema_version")
-    replayed = _replay(doc)
-    if replayed != doc["result"]:
-        raise VerificationFailed(
-            f"stored result for {doc['command']!r} does not match recomputation"
+    try:
+        command, stored_seed, stored_options, input_doc, result = (
+            doc[k] for k in ("command", "seed", "options", "input", "result")
         )
-    result = {"verified": True, "command": doc["command"]}
-    sys.stdout.write(_envelope("verify", args.seed, None, {}, result))
-    return 0
+    except KeyError as exc:
+        raise DocumentError(f"envelope missing field: {exc}") from exc
+    verb = _VERBS.get(command) if isinstance(command, str) else None
+    if verb is None or verb.reads == "document":
+        raise DocumentError(f"cannot verify command {command!r}")
+    if not _is_int(stored_seed) or not isinstance(stored_options, dict):
+        raise DocumentError("envelope seed must be an integer and options an object")
+    inst = _input(verb, input_doc, "envelope input")
+    if verb.build(inst, verb.check(stored_options), stored_seed) != result:
+        raise VerificationFailed(f"stored result for {command!r} does not match its replay")
+    return {"verified": True, "command": command}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argv conversions
 
 
-def _edge_arg(text: str) -> tuple[int, int]:
+def _edge_arg(text: str) -> list[int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("edge must look like i,j")
     try:
-        return int(parts[0]), int(parts[1])
+        return [int(parts[0]), int(parts[1])]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"edge must be two integers: {exc}")
 
 
 def _count_arg(text: str) -> int:
-    """Step counts; scientific notation like 1e7 is accepted."""
+    """Step counts, read exactly; scientific notation like 1e7 is accepted."""
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if value != int(value):
+        value = Decimal(text)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not value.is_finite() or value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"{text} is not a whole number")
+    if value > MAX_SIM_STEPS:
+        # before int(), which would spell out an exponent like 1e999999999
+        raise SizeLimitExceeded(f"{text} steps exceed the limit of {MAX_SIM_STEPS}")
     return int(value)
 
 
@@ -360,98 +305,147 @@ def _levels_arg(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"levels must be integers: {exc}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="procflex",
-        description="Flexibility-graph analysis and MaxWeight simulation.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _from_file(read):
+    """argparse type for an option held in a JSON file: a thunk that _run calls
+    after reading the instance, so a bad instance is reported first."""
+    return lambda path: functools.partial(read, path)
 
-    p = sub.add_parser("validate", parents=[common], help="check an instance file")
-    p.add_argument("instance", help="instance JSON path, or - for stdin")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser(
-        "decompose", parents=[common], help="redundant edges, blocks, ERP, CRP graph"
-    )
-    p.add_argument("instance")
-    p.set_defaults(func=_cmd_decompose)
+def _perturb_file(path: str) -> list:
+    doc = _load_json(path)
+    if isinstance(doc, dict) and "omegas" in doc:
+        omegas = doc["omegas"]
+    elif isinstance(doc, dict) and "omega" in doc:
+        omegas = [doc["omega"]]
+    else:
+        raise DocumentError(f"{path}: expected an object with 'omega' or 'omegas'")
+    if not isinstance(omegas, list) or not all(isinstance(o, list) for o in omegas):
+        raise DocumentError(f"{path}: omegas must be lists of rationals")
+    return [[str(w) for w in o] for o in omegas]
 
-    p = sub.add_parser(
-        "design", parents=[common], help="sparsest graph hitting a target ERP"
-    )
-    p.add_argument("instance", help="only demand and supply are read")
-    p.add_argument("--erp", type=int, required=True, help="target component count")
-    p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser(
-        "gap", parents=[common], help="pooling gap and perturbation harness"
-    )
-    p.add_argument("instance")
-    p.add_argument("--perturb", help="JSON file with omega or omegas")
-    p.set_defaults(func=_cmd_gap)
+def _tables_file(path: str) -> dict:
+    doc = _load_json(path)
+    if not isinstance(doc, list):
+        raise DocumentError(f"{path}: objective tables must be a list of rows")
+    try:
+        tables = [[format_rational(parse_rational(v)) for v in row] for row in doc]
+    except (ValueError, TypeError) as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
+    return {"tables": tables}
 
-    p = sub.add_parser("augment", parents=[common], help="single-edge addition effect")
-    p.add_argument("instance")
+
+def _objective_arg(text: str):
+    return _from_file(_tables_file)(text[5:]) if text.startswith("file:") else text
+
+
+# ---------------------------------------------------------------------------
+# the verb table
+
+
+@dataclass(frozen=True)
+class _Verb:
+    help: str
+    setup: Callable[[argparse.ArgumentParser], Any]
+    check: Callable[[dict], dict]
+    build: Callable[[Any, dict, int], dict]
+    # positional input: an instance file, a result document, or none
+    reads: str | None = "instance"
+    # output that replaces the envelope, or None to print the envelope
+    write: Callable[[Any, dict, dict], str | None] = lambda inst, options, result: None
+
+
+def _augment_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--edge", type=_edge_arg, help="candidate edge i,j")
     group.add_argument("--best", action="store_true", help="search for the best edge")
-    p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser(
-        "plan", parents=[common], help="multi-step upgrade schedule for a diagonal start"
-    )
+
+def _plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=int, required=True, help="initial number of pairs")
     p.add_argument("--budget", type=int, required=True, help="edges to add, one per step")
-    p.add_argument(
-        "--objective", default="sum", help="sum, final, or file:<tables.json>"
-    )
-    p.set_defaults(func=_cmd_plan)
+    p.add_argument("--objective", type=_objective_arg, default="sum",
+                   help="sum, final, or file:<tables.json>")
 
-    p = sub.add_parser(
-        "simulate", parents=[common], help="MaxWeight runs and heavy-traffic ratios"
-    )
-    p.add_argument("instance")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=_eps_arg, required=True, help="comma-separated list")
     p.add_argument("--horizon", type=_count_arg, required=True)
     p.add_argument("--warmup", type=_count_arg, default=None, help="default horizon/10")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--levels", type=_levels_arg, default=None, help="arrival highs")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "verify", parents=[common], help="replay a result document and compare"
+
+_VERBS = {
+    "validate": _Verb("check an instance file", lambda p: None, _fields(), _validate),
+    "decompose": _Verb("redundant edges, blocks, ERP, CRP graph",
+                       lambda p: None, _fields(), _decompose),
+    "design": _Verb("sparsest graph for a target ERP (reads only demand and supply)",
+                    lambda p: p.add_argument("--erp", type=int, required=True,
+                                             help="target component count"),
+                    _fields(erp=_INT), _design),
+    "gap": _Verb("pooling gap and perturbation harness",
+                 lambda p: p.add_argument("--perturb", type=_from_file(_perturb_file),
+                                          help="JSON file with omega or omegas"),
+                 _fields(perturb=(_or_none(_RATIONAL_ROWS), "null or rows of rationals")),
+                 _gap),
+    "augment": _Verb("single-edge addition effect", _augment_args, _augment_options,
+                     _augment),
+    "plan": _Verb("multi-step upgrade schedule for a diagonal start", _plan_args,
+                  _fields(eta=_INT, budget=_INT,
+                          objective=(_objective, "sum, final or {tables: rows}")),
+                  _plan, reads=None),
+    "simulate": _Verb("MaxWeight runs and heavy-traffic ratios", _simulate_args,
+                      _simulate_options, _simulate, write=_simulate_csv),
+    "verify": _Verb("replay a result document and compare", lambda p: None, _fields(),
+                    _verify, reads="document"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="procflex", description="Flexibility-graph analysis and MaxWeight simulation."
     )
-    p.add_argument("document")
-    p.set_defaults(func=_cmd_verify)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, parents=[common], help=verb.help)
+        if verb.reads:
+            p.add_argument(verb.reads, help=f"{verb.reads} JSON path, or - for stdin")
+        verb.setup(p)
     return parser
 
 
-def _diagnostic(name: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": name, "message": message}, sort_keys=True) + "\n")
+_PARSER = _build_parser()
+
+
+def _run(args: argparse.Namespace) -> str:
+    verb = _VERBS[args.command]
+    path = getattr(args, verb.reads) if verb.reads else None
+    inst = _input(verb, None if path is None else _load_json(path), path)
+    options = verb.check({k: v() if callable(v) else v for k, v in vars(args).items()})
+    result = verb.build(inst, options, args.seed)
+    text = verb.write(inst, options, result)
+    if text is None:
+        input_doc = inst.to_dict() if verb.reads == "instance" else None
+        text = _envelope(args.command, args.seed, input_doc, options, result)
+    return text
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        sys.stdout.write(_run(_PARSER.parse_args(argv)))
+        return 0
     except SystemExit as exc:
+        # --help
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
-    except DocumentError as exc:
-        _diagnostic("DocumentError", str(exc))
-        return 2
-    except ProcflexError as exc:
-        _diagnostic(type(exc).__name__, str(exc))
-        return 1
-    except (ValueError, TypeError) as exc:
-        # library-level rejections of a requested target
-        _diagnostic(type(exc).__name__, str(exc))
-        return 1
+    except (DocumentError, ProcflexError, ValueError, TypeError) as exc:
+        # past DocumentError, these are the library rejecting a requested target
+        diagnostic = {"error": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
+        return 2 if isinstance(exc, DocumentError) else 1
 
 
 if __name__ == "__main__":

@@ -43,7 +43,6 @@ __all__ = [
     "find_feasible_point",
     "greedy_extreme_point",
     "support_graph",
-    "is_extreme_point",
     "gcd_combined",
 ]
 
@@ -333,12 +332,6 @@ def support_graph(x: Assignment) -> SupportGraph:
     edges = x.support()
     d_labels, s_labels = _component_labels(x.m, x.n, edges)
     return SupportGraph(edges, d_labels, s_labels)
-
-
-def is_extreme_point(inst: ProblemInstance, x: Assignment) -> bool:
-    """True iff x is a vertex of the polytope, i.e. its support is a forest."""
-    check_assignment(inst, x)
-    return support_graph(x).is_forest()
 
 
 def gcd_combined(demand: Sequence, supply: Sequence) -> Fraction:

@@ -16,20 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .core import (
-    Assignment,
-    ProblemInstance,
-    find_feasible_point,
-    make_instance,
-)
-from .errors import (
-    Infeasible,
-    InvariantViolation,
-    NotAPartition,
-    UnbalancedTotals,
-)
+from .core import Assignment, ProblemInstance, find_feasible_point
+from .errors import InvariantViolation
 
 __all__ = [
     "WorkCounter",
@@ -43,7 +33,6 @@ __all__ = [
     "crp_condition",
     "crp_graph",
     "ssc_basis",
-    "verify_decomposition",
 ]
 
 
@@ -331,62 +320,3 @@ def ssc_basis(decomp: CrpDecomposition) -> SscBasis:
         for label in range(1, decomp.erp_number + 1)
     )
     return SscBasis(tuple(vectors))
-
-
-def _sub_instance(
-    inst: ProblemInstance, demands: Sequence[int], supplies: Sequence[int]
-) -> ProblemInstance:
-    di = sorted(demands)
-    sj = sorted(supplies)
-    dmap = {i: k for k, i in enumerate(di, start=1)}
-    smap = {j: k for k, j in enumerate(sj, start=1)}
-    edges = [
-        (dmap[i], smap[j])
-        for (i, j) in inst.sorted_edges
-        if i in dmap and j in smap
-    ]
-    return make_instance(
-        [inst.demand[i - 1] for i in di],
-        [inst.supply[j - 1] for j in sj],
-        edges,
-    )
-
-
-def verify_decomposition(inst: ProblemInstance, cover: Sequence) -> bool:
-    """Check a candidate ordered demand cover against the sequential rule.
-
-    Supplies are assigned greedily: each block takes every neighbor of its
-    demands not claimed earlier.  The cover is a valid pooling decomposition
-    iff every induced block is balanced, feasible, connected, and free of
-    redundant edges, and together the blocks use up all supplies.
-    """
-    parts = [frozenset(int(i) for i in part) for part in cover]
-    seen: set[int] = set()
-    for part in parts:
-        if not part:
-            raise NotAPartition("empty demand block")
-        for i in part:
-            if not 1 <= i <= inst.m:
-                raise NotAPartition(f"demand {i} out of range")
-            if i in seen:
-                raise NotAPartition(f"demand {i} appears in two blocks")
-        seen |= part
-    if seen != set(range(1, inst.m + 1)):
-        missing = sorted(set(range(1, inst.m + 1)) - seen)
-        raise NotAPartition(f"cover misses demands {missing}")
-    used: set[int] = set()
-    for part in parts:
-        block_supplies = set()
-        for i in part:
-            block_supplies.update(inst.demand_adj[i - 1])
-        block_supplies -= used
-        if not block_supplies:
-            return False
-        try:
-            sub = _sub_instance(inst, sorted(part), sorted(block_supplies))
-            if not crp_condition(sub):
-                return False
-        except (UnbalancedTotals, Infeasible):
-            return False
-        used |= block_supplies
-    return used == set(range(1, inst.n + 1))

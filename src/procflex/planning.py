@@ -165,9 +165,13 @@ class Schedule:
             raise ValueError(
                 f"schedule built for {self.eta} blocks, instance has {dec.erp_number}"
             )
-        reps = [
-            (min(c.demands), min(c.supplies)) for c in dec.components
-        ]
+        for label, c in enumerate(dec.components, start=1):
+            if not (c.demands and c.supplies):
+                raise ValueError(
+                    f"block {label} (demands {list(c.demands)}, supplies "
+                    f"{list(c.supplies)}) needs a demand and a supply to connect"
+                )
+        reps = [(min(c.demands), min(c.supplies)) for c in dec.components]
         edges: list[tuple[int, int]] = []
         cur = inst
         for move in self.moves:

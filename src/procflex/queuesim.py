@@ -139,54 +139,6 @@ def make_arrival_model(
     return ArrivalModel(e, nu, lv, tuple(probs))
 
 
-def maxweight_schedule(
-    q: Sequence[int],
-    mu: Sequence[int],
-    edges,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """One MaxWeight decision: each server gives its whole mu_j to a longest
-    compatible queue, ties resolved uniformly via ``rng``.
-
-    The total weight <q, s> equals sum_j mu_j * max of q over server j's
-    neighborhood, which is the optimum of the service polytope's linear
-    objective, so no feasible split of the mu_j can do better.
-    """
-    m, n = len(q), len(mu)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in sorted(edges):
-        adj[j - 1].append(i)
-    s = [0] * m
-    for j in range(n):
-        cand = adj[j]
-        if not cand:
-            raise IsolatedServer(f"supply vertex {j + 1} has no edges")
-        best = max(q[i - 1] for i in cand)
-        tied = [i for i in cand if q[i - 1] == best]
-        pick = tied[0] if len(tied) == 1 else tied[int(rng.random() * len(tied))]
-        s[pick - 1] += mu[j]
-    return tuple(s)
-
-
-def step(
-    q: Sequence[int], a: Sequence[int], s: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Advance one slot: q' = max(q + a - s, 0), u = q' - (q + a - s)."""
-    if not (len(q) == len(a) == len(s)):
-        raise ValueError("q, a, s must have the same length")
-    nxt = []
-    unused = []
-    for qi, ai, si in zip(q, a, s):
-        x = qi + ai - si
-        qn = x if x > 0 else 0
-        un = qn - x
-        if un < 0 or un * qn != 0:
-            raise InvariantViolation(f"unused service {un} with queue {qn}")
-        nxt.append(qn)
-        unused.append(un)
-    return tuple(nxt), tuple(unused)
-
-
 @dataclass(frozen=True)
 class SimStats:
     """Pooled post-warmup averages of one simulation campaign."""
@@ -569,25 +521,3 @@ def heavy_traffic_check(
         )
     return HeavyTrafficReport(tuple(rows), rhs, components)
 
-
-def ssc_ratio(
-    inst: ProblemInstance,
-    eps,
-    *,
-    horizon: int,
-    warmup: int | None = None,
-    seed: int = 0,
-    replications: int = 1,
-    arrival_levels: Sequence[int] | None = None,
-) -> float:
-    """Pooled E||q - q_parallel||_2 / E||q||_2 for the block-indicator span."""
-    stats = simulate(
-        inst,
-        eps,
-        horizon=horizon,
-        warmup=warmup,
-        seed=seed,
-        replications=replications,
-        arrival_levels=arrival_levels,
-    )
-    return stats.ssc_ratio

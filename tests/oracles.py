@@ -12,10 +12,25 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from typing import Sequence
 
-from procflex.core import Assignment, ProblemInstance, find_feasible_point, make_instance
-from procflex.decomposition import crp_decomposition
-from procflex.errors import EdgeNotPresent, GapUndefined, SizeLimitExceeded
+from procflex.core import (
+    Assignment,
+    ProblemInstance,
+    check_assignment,
+    find_feasible_point,
+    make_instance,
+    support_graph,
+)
+from procflex.decomposition import crp_condition, crp_decomposition
+from procflex.errors import (
+    EdgeNotPresent,
+    GapUndefined,
+    Infeasible,
+    NotAPartition,
+    SizeLimitExceeded,
+    UnbalancedTotals,
+)
 from procflex.robustness import crp_gap
 
 
@@ -504,3 +519,68 @@ def gap_redundancy_invariance(inst: ProblemInstance, limit: int = 20) -> bool:
     kept = frozenset(inst.edges) - crp_decomposition(inst).redundant_edges
     stripped = crp_gap(inst.restricted(kept), limit)
     return base.crp_gap == stripped.crp_gap
+
+
+def is_extreme_point(inst: ProblemInstance, x: Assignment) -> bool:
+    """True iff x is a vertex of the polytope, i.e. its support is a forest."""
+    check_assignment(inst, x)
+    return support_graph(x).is_forest()
+
+
+def sub_instance(
+    inst: ProblemInstance, demands: Sequence[int], supplies: Sequence[int]
+) -> ProblemInstance:
+    di = sorted(demands)
+    sj = sorted(supplies)
+    dmap = {i: k for k, i in enumerate(di, start=1)}
+    smap = {j: k for k, j in enumerate(sj, start=1)}
+    edges = [
+        (dmap[i], smap[j])
+        for (i, j) in inst.sorted_edges
+        if i in dmap and j in smap
+    ]
+    return make_instance(
+        [inst.demand[i - 1] for i in di],
+        [inst.supply[j - 1] for j in sj],
+        edges,
+    )
+
+
+def verify_decomposition(inst: ProblemInstance, cover: Sequence) -> bool:
+    """Check a candidate ordered demand cover against the sequential rule.
+
+    Supplies are assigned greedily: each block takes every neighbor of its
+    demands not claimed earlier.  The cover is a valid pooling decomposition
+    iff every induced block is balanced, feasible, connected, and free of
+    redundant edges, and together the blocks use up all supplies.
+    """
+    parts = [frozenset(int(i) for i in part) for part in cover]
+    seen: set[int] = set()
+    for part in parts:
+        if not part:
+            raise NotAPartition("empty demand block")
+        for i in part:
+            if not 1 <= i <= inst.m:
+                raise NotAPartition(f"demand {i} out of range")
+            if i in seen:
+                raise NotAPartition(f"demand {i} appears in two blocks")
+        seen |= part
+    if seen != set(range(1, inst.m + 1)):
+        missing = sorted(set(range(1, inst.m + 1)) - seen)
+        raise NotAPartition(f"cover misses demands {missing}")
+    used: set[int] = set()
+    for part in parts:
+        block_supplies = set()
+        for i in part:
+            block_supplies.update(inst.demand_adj[i - 1])
+        block_supplies -= used
+        if not block_supplies:
+            return False
+        try:
+            sub = sub_instance(inst, sorted(part), sorted(block_supplies))
+            if not crp_condition(sub):
+                return False
+        except (UnbalancedTotals, Infeasible):
+            return False
+        used |= block_supplies
+    return used == set(range(1, inst.n + 1))

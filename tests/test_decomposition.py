@@ -18,8 +18,10 @@ from . import oracles
 from .oracles import (
     full_support_point,
     redundancy_oracle,
+    sub_instance,
     topological_order,
     union_find_blocks,
+    verify_decomposition,
     witness_point,
 )
 
@@ -165,10 +167,8 @@ def test_components_individually_pooled():
     for _ in range(25):
         inst = random_feasible_instance(rng, max_m=5, max_n=5)
         dec = pf.crp_decomposition(inst)
-        from procflex.decomposition import _sub_instance
-
         for comp in dec.components:
-            sub = _sub_instance(inst, comp.demands, comp.supplies)
+            sub = sub_instance(inst, comp.demands, comp.supplies)
             assert pf.crp_condition(sub)
 
 
@@ -317,18 +317,18 @@ def test_full_support_bulk():
 
 
 def test_verify_decomposition_orders(three_block_instance, small_tree_instance):
-    assert pf.verify_decomposition(three_block_instance, [{4, 5}, {2, 3}, {1}])
-    assert not pf.verify_decomposition(three_block_instance, [{1}, {2, 3}, {4, 5}])
-    assert pf.verify_decomposition(small_tree_instance, [{1, 2}])
+    assert verify_decomposition(three_block_instance, [{4, 5}, {2, 3}, {1}])
+    assert not verify_decomposition(three_block_instance, [{1}, {2, 3}, {4, 5}])
+    assert verify_decomposition(small_tree_instance, [{1, 2}])
 
 
 def test_verify_decomposition_partition_errors(three_block_instance):
     with pytest.raises(pf.NotAPartition):
-        pf.verify_decomposition(three_block_instance, [{1, 2}, {2, 3}, {4, 5}])
+        verify_decomposition(three_block_instance, [{1, 2}, {2, 3}, {4, 5}])
     with pytest.raises(pf.NotAPartition):
-        pf.verify_decomposition(three_block_instance, [{1, 2}, {3}])
+        verify_decomposition(three_block_instance, [{1, 2}, {3}])
     with pytest.raises(pf.NotAPartition):
-        pf.verify_decomposition(three_block_instance, [set(), {1, 2, 3, 4, 5}])
+        verify_decomposition(three_block_instance, [set(), {1, 2, 3, 4, 5}])
 
 
 def test_verify_accepts_computed_decomposition():
@@ -343,4 +343,4 @@ def test_verify_accepts_computed_decomposition():
             key=lambda l: len(dag.descendants(l)),
         )
         cover = [set(dec.components[l - 1].demands) for l in order]
-        assert pf.verify_decomposition(inst, cover)
+        assert verify_decomposition(inst, cover)

@@ -14,7 +14,6 @@ from procflex import (
     crp_decomposition,
     d_star,
     design_flexibility,
-    is_extreme_point,
     make_instance,
     max_balanced_cover,
     min_edges,
@@ -24,6 +23,7 @@ from .oracles import (
     erp_of_edge_set,
     exhaustive_erp_search,
     exhaustive_tree_crp_exists,
+    is_extreme_point,
     max_balanced_cover_size,
 )
 

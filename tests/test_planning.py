@@ -103,6 +103,13 @@ def test_structured_schedule_invalid_close_vectors():
         structured_schedule(5, 4, 2, (3,))  # p and k disagree
 
 
+def test_realize_rejects_a_block_without_supply():
+    # demand 2 has rate 0 and no edge: a block of its own with no supply
+    inst = make_instance([1, 0], [1], [(1, 1)])
+    with pytest.raises(ValueError, match="block 2 .*needs a demand and a supply"):
+        structured_schedule(2, 1).realize(inst)
+
+
 def test_structured_trajectories_match_ground_truth():
     for eta, K in ((2, 2), (4, 6), (5, 12), (8, 12)):
         inst = diagonal(eta)
