@@ -6,7 +6,7 @@ carry flow.  Removing them splits the system into three independent
 pooling blocks, and the leftover edges arrange the blocks into a DAG.
 """
 
-from procflex import crp_decomposition, crp_graph, make_instance, ssc_basis
+from procflex import crp_decomposition, make_instance, ssc_basis
 
 inst = make_instance(
     demand=[1, 1, 2, 2, 1],
@@ -30,7 +30,7 @@ for label, comp in enumerate(decomp.components, start=1):
     print(f"  block {label}: demands {set(comp.demands)} <- supplies "
           f"{set(comp.supplies)}  (rate {nu})")
 
-dag = crp_graph(decomp, inst)
+dag = decomp.dag
 print("\nthe redundant edges point exclusively from earlier blocks to later")
 print("ones, so the block graph is acyclic:")
 for (a, b), k in sorted(dag.edges.items()):

@@ -52,7 +52,6 @@ from .decomposition import (
     SscBasis,
     crp_condition,
     crp_decomposition,
-    crp_graph,
     erp_number,
     redundant_edges,
     ssc_basis,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ProblemInstance
-from .decomposition import CrpDag, CrpDecomposition, crp_decomposition, crp_graph
-from .errors import AlreadyCrp, EdgeAlreadyPresent, IndexOutOfRange, InvariantViolation
+from .decomposition import CrpDecomposition, crp_decomposition
+from .errors import AlreadyCrp, IndexOutOfRange, InvariantViolation
 
 __all__ = ["EdgeEffect", "add_edge_effect", "best_single_edge"]
 
@@ -38,45 +38,26 @@ class EdgeEffect:
         }
 
 
-def _effect_from_dag(
-    dec: CrpDecomposition, dag: CrpDag, edge: tuple[int, int]
-) -> EdgeEffect:
+def _effect(dec: CrpDecomposition, edge: tuple[int, int]) -> EdgeEffect:
     i, j = edge
-    l1 = dec.component_of_demand(i)
-    l2 = dec.component_of_supply(j)
-    cycle = dag.descendants(l2) & dag.ancestors(l1)
+    cycle = dec.merged_by(edge)
     delta = -max(len(cycle) - 1, 0)
     return EdgeEffect(
         edge=(i, j),
-        dag_edge=(l1, l2),
-        cycle_vertices=frozenset(cycle),
+        dag_edge=(dec.demand_labels[i - 1], dec.supply_labels[j - 1]),
+        cycle_vertices=cycle,
         new_erp=dec.erp_number + delta,
         delta=delta,
     )
 
 
-def add_edge_effect(
-    inst: ProblemInstance,
-    edge: tuple[int, int],
-    allow_existing: bool = False,
-) -> EdgeEffect:
-    """Effect of adding (i, j), without touching the instance.
-
-    Edges already present change nothing; by default that case raises, but
-    trajectory evaluation passes allow_existing=True to get the zero effect.
-    """
+def add_edge_effect(inst: ProblemInstance, edge: tuple[int, int]) -> EdgeEffect:
+    """Effect of adding the absent edge (i, j), without touching the instance."""
     i, j = int(edge[0]), int(edge[1])
     if not (1 <= i <= inst.m and 1 <= j <= inst.n):
+        # before the max flow, which an edge out of range need not wait for
         raise IndexOutOfRange(f"edge ({i},{j}) outside [1,{inst.m}]x[1,{inst.n}]")
-    dec = crp_decomposition(inst)
-    dag = crp_graph(dec, inst)
-    if (i, j) in inst.edges:
-        if not allow_existing:
-            raise EdgeAlreadyPresent(f"edge ({i},{j}) already in the graph")
-        l1 = dec.component_of_demand(i)
-        l2 = dec.component_of_supply(j)
-        return EdgeEffect((i, j), (l1, l2), frozenset(), dec.erp_number, 0)
-    return _effect_from_dag(dec, dag, (i, j))
+    return _effect(crp_decomposition(inst), (i, j))
 
 
 def best_single_edge(
@@ -91,7 +72,10 @@ def best_single_edge(
     The representative for a pair is its lexicographically smallest demand
     and supply; ties between pairs resolve to the smallest representative.
     """
-    dec = crp_decomposition(inst)
+    return _best_edge(crp_decomposition(inst))
+
+
+def _best_edge(dec: CrpDecomposition) -> tuple[tuple[int, int], EdgeEffect]:
     if dec.erp_number == 1:
         raise AlreadyCrp("graph already pools completely; every edge is neutral")
     full = {
@@ -103,29 +87,26 @@ def best_single_edge(
             "at most one block has both demands and supplies;"
             " no single edge can merge blocks"
         )
-    dag = crp_graph(dec, inst)
+    dag = dec.dag
     has_out = {a for (a, b) in dag.edges if b in full}
     has_in = {b for (a, b) in dag.edges if a in full}
-    sinks = sorted(full - has_out)
-    sources = sorted(full - has_in)
-    best: tuple[int, tuple[int, int], int, int] | None = None
-    for l_sink in sinks:
-        for l_src in sources:
+    # the blocks merged_by returns, with one reach set per sink and per source
+    up = {l: dag.ancestors(l) for l in full - has_out}
+    down = {l: dag.descendants(l) for l in full - has_in}
+    best: tuple[int, tuple[int, int]] | None = None
+    for l_sink in sorted(up):
+        for l_src in sorted(down):
             if l_sink == l_src:
                 continue
-            cycle = dag.descendants(l_src) & dag.ancestors(l_sink)
             rep = (
                 min(dec.components[l_sink - 1].demands),
                 min(dec.components[l_src - 1].supplies),
             )
-            cand = (-len(cycle), rep, l_sink, l_src)
+            cand = (-len(up[l_sink] & down[l_src]), rep)
             if best is None or cand < best:
                 best = cand
     if best is None:
         raise InvariantViolation("no sink/source pair in a multi-component DAG")
-    _neg, rep, l_sink, l_src = best
-    if rep in inst.edges:
-        # a redundant edge out of a sink would contradict sink-ness
-        raise InvariantViolation(f"representative {rep} unexpectedly present")
-    effect = _effect_from_dag(dec, dag, rep)
-    return rep, effect
+    # absent: a redundant edge out of a sink would contradict sink-ness
+    rep = best[1]
+    return rep, _effect(dec, rep)

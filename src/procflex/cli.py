@@ -32,7 +32,7 @@ from typing import Any, Callable
 from .augmentation import add_edge_effect, best_single_edge
 from .core import ProblemInstance, format_rational, is_feasible, parse_rational
 from .core import validate_instance
-from .decomposition import crp_decomposition, crp_graph, ssc_basis
+from .decomposition import crp_decomposition, ssc_basis
 from .design import design_flexibility
 from .errors import ProcflexError, SizeLimitExceeded, VerificationFailed
 from .planning import plan_schedule
@@ -167,7 +167,7 @@ def _decompose(inst: ProblemInstance, options: dict, seed: int) -> dict:
         supply = sum((inst.supply[j - 1] for j in comp.supplies), Fraction(0))
         entry["demand_total"] = format_rational(demand)
         entry["supply_total"] = format_rational(supply)
-    out["crp_graph"] = crp_graph(decomp, inst).to_dict()
+    out["crp_graph"] = decomp.dag.to_dict()
     out["ssc_basis"] = [list(v) for v in ssc_basis(decomp).vectors]
     return out
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -47,10 +48,16 @@ __all__ = [
 ]
 
 
+# Fraction spells out 10**exponent in full: "1e10000000" takes seconds
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int or a "p/q" / "p" string.
 
-    Floats are rejected: the file format is exact by design.
+    Floats are rejected: the file format is exact by design.  Decimal strings
+    may carry an exponent of at most MAX_DECIMAL_EXPONENT either way.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
@@ -59,6 +66,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        found = _EXPONENT.search(value)
+        digits = found[1].replace("_", "").lstrip("0") if found else ""
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"not a rational: {value!r} (exponent above {MAX_DECIMAL_EXPONENT})"
+            )
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -237,19 +250,6 @@ class Assignment:
 
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.entries)
-
-    def to_triples(self) -> list[list]:
-        return [
-            [i, j, format_rational(v)] for (i, j), v in sorted(self.entries.items())
-        ]
-
-    @staticmethod
-    def from_triples(m: int, n: int, triples: Iterable) -> "Assignment":
-        entries = {}
-        for t in triples:
-            i, j, v = int(t[0]), int(t[1]), parse_rational(t[2])
-            entries[(i, j)] = v
-        return Assignment(m, n, entries)
 
 
 def check_assignment(inst: ProblemInstance, x: Assignment) -> None:

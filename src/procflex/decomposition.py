@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .core import Assignment, ProblemInstance, find_feasible_point
-from .errors import InvariantViolation
+from .errors import EdgeAlreadyPresent, IndexOutOfRange
 
 __all__ = [
     "WorkCounter",
@@ -31,7 +32,6 @@ __all__ = [
     "crp_decomposition",
     "erp_number",
     "crp_condition",
-    "crp_graph",
     "ssc_basis",
 ]
 
@@ -159,6 +159,20 @@ class CrpDecomposition:
     def erp_number(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge of the instance: the redundant ones and each block's."""
+        return self.redundant_edges.union(*(c.edges for c in self.components))
+
+    @cached_property
+    def dag(self) -> CrpDag:
+        """Condense the residual graph: count redundant edges per block pair."""
+        multi = Counter(
+            (self.demand_labels[i - 1], self.supply_labels[j - 1])
+            for i, j in self.redundant_edges
+        )
+        return CrpDag(self.erp_number, dict(multi))
+
     def component_of_demand(self, i: int) -> int:
         """1-based component label containing demand i."""
         if not 1 <= i <= self.m:
@@ -169,6 +183,43 @@ class CrpDecomposition:
         if not 1 <= j <= self.n:
             raise KeyError(j)
         return self.supply_labels[j - 1]
+
+    def merged_by(self, edge: tuple[int, int]) -> frozenset[int]:
+        """Labels of the blocks that adding the absent edge (i, j) merges.
+
+        The feasible point that seeded the residual graph stays feasible, and
+        the new edge adds one residual arc, from i's block l1 to j's block l2.
+        That arc closes a cycle through exactly the blocks on a DAG path from
+        l2 to l1.  The set is {l1} when l1 == l2 and empty when no such path
+        exists; either way no two blocks merge.
+        """
+        i, j = edge
+        if not (1 <= i <= self.m and 1 <= j <= self.n):
+            raise IndexOutOfRange(f"edge ({i},{j}) outside [1,{self.m}]x[1,{self.n}]")
+        if (i, j) in self.edges:
+            raise EdgeAlreadyPresent(f"edge ({i},{j}) already in the graph")
+        l1 = self.demand_labels[i - 1]
+        l2 = self.supply_labels[j - 1]
+        return self.dag.descendants(l2) & self.dag.ancestors(l1)
+
+    def with_edge(self, edge: tuple[int, int]) -> CrpDecomposition:
+        """The decomposition of the instance with the absent edge (i, j) added,
+        equal to a fresh crp_decomposition of it, without another max flow.
+
+        The blocks of merged_by(edge) become one, which keeps the lowest of
+        their labels since that block holds their lowest vertex; the other
+        labels close up behind it.
+        """
+        i, j = int(edge[0]), int(edge[1])
+        merged = self.merged_by((i, j))
+        low = min(merged, default=0)
+        kept = [l for l in range(1, self.erp_number + 1) if l == low or l not in merged]
+        relabel = {l: k for k, l in enumerate(kept, start=1)}
+        labels = [
+            relabel[low if l in merged else l]
+            for l in self.demand_labels + self.supply_labels
+        ]
+        return _from_labels(self.m, self.n, labels, self.edges | {(i, j)})
 
     def to_dict(self) -> dict:
         return {
@@ -183,6 +234,36 @@ class CrpDecomposition:
                 for c in self.components
             ],
         }
+
+
+def _from_labels(
+    m: int, n: int, labels: list[int], edges: frozenset[tuple[int, int]]
+) -> CrpDecomposition:
+    """Blocks from per-vertex labels (demand i at i-1, supply j at m+j-1).
+
+    An edge is kept by its block when both ends carry the block's label, and
+    is redundant otherwise.
+    """
+    members: list[tuple[list[int], list[int]]] = [([], []) for _ in range(max(labels))]
+    for i in range(1, m + 1):
+        members[labels[i - 1] - 1][0].append(i)
+    for j in range(1, n + 1):
+        members[labels[m + j - 1] - 1][1].append(j)
+    kept: list[list[tuple[int, int]]] = [[] for _ in members]
+    redundant = []
+    for i, j in edges:
+        label = labels[i - 1]
+        if label == labels[m + j - 1]:
+            kept[label - 1].append((i, j))
+        else:
+            redundant.append((i, j))
+    comps = tuple(
+        CrpComponent(tuple(d), tuple(s), frozenset(e))
+        for (d, s), e in zip(members, kept)
+    )
+    return CrpDecomposition(
+        m, n, frozenset(redundant), comps, tuple(labels[:m]), tuple(labels[m:])
+    )
 
 
 def crp_decomposition(
@@ -204,26 +285,7 @@ def crp_decomposition(
     position = [2 * i - 1 for i in range(1, m + 1)] + [2 * j for j in range(1, n + 1)]
     for v in sorted(range(m + n), key=position.__getitem__):
         labels[v] = label_of_scc.setdefault(comp[v], len(label_of_scc) + 1)
-    members: list[tuple[list[int], list[int]]] = [([], []) for _ in label_of_scc]
-    for i in range(1, m + 1):
-        members[labels[i - 1] - 1][0].append(i)
-    for j in range(1, n + 1):
-        members[labels[m + j - 1] - 1][1].append(j)
-    kept: list[list[tuple[int, int]]] = [[] for _ in members]
-    redundant = []
-    for i, j in inst.edges:
-        label = labels[i - 1]
-        if label == labels[m + j - 1]:
-            kept[label - 1].append((i, j))
-        else:
-            redundant.append((i, j))
-    comps = tuple(
-        CrpComponent(tuple(d), tuple(s), frozenset(e))
-        for (d, s), e in zip(members, kept)
-    )
-    return CrpDecomposition(
-        m, n, frozenset(redundant), comps, tuple(labels[:m]), tuple(labels[m:])
-    )
+    return _from_labels(m, n, labels, inst.edges)
 
 
 def erp_number(inst: ProblemInstance, order_seed: int = 0) -> int:
@@ -247,17 +309,18 @@ class CrpDag:
     d: int
     edges: Mapping[tuple[int, int], int]
 
-    def _adj(self, reverse: bool = False) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.d + 1)]
-        for (a, b) in self.edges:
-            if reverse:
-                adj[b].append(a)
-            else:
-                adj[a].append(b)
-        return adj
+    @cached_property
+    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Successor and predecessor lists, indexed by label."""
+        succ: list[list[int]] = [[] for _ in range(self.d + 1)]
+        pred: list[list[int]] = [[] for _ in range(self.d + 1)]
+        for a, b in self.edges:
+            succ[a].append(b)
+            pred[b].append(a)
+        return succ, pred
 
-    def _reach(self, start: int, reverse: bool) -> frozenset[int]:
-        adj = self._adj(reverse)
+    @staticmethod
+    def _reach(start: int, adj: list[list[int]]) -> frozenset[int]:
         seen = {start}
         stack = [start]
         while stack:
@@ -270,11 +333,11 @@ class CrpDag:
 
     def descendants(self, l: int) -> frozenset[int]:
         """Labels reachable from l, l itself included."""
-        return self._reach(l, reverse=False)
+        return self._reach(l, self._adjacency[0])
 
     def ancestors(self, l: int) -> frozenset[int]:
         """Labels that reach l, l itself included."""
-        return self._reach(l, reverse=True)
+        return self._reach(l, self._adjacency[1])
 
     @property
     def edge_multiplicity_total(self) -> int:
@@ -285,21 +348,6 @@ class CrpDag:
             "d": self.d,
             "edges": [[a, b, k] for (a, b), k in sorted(self.edges.items())],
         }
-
-
-def crp_graph(decomp: CrpDecomposition, inst: ProblemInstance) -> CrpDag:
-    """Condense the residual graph: count redundant edges per block pair.
-
-    The blocks are the residual SCCs, so the result is acyclic without a
-    check; only the instance shape is checked, since it comes from the caller.
-    """
-    if inst.m != decomp.m or inst.n != decomp.n:
-        raise InvariantViolation("decomposition does not match instance shape")
-    multi = Counter(
-        (decomp.demand_labels[i - 1], decomp.supply_labels[j - 1])
-        for i, j in decomp.redundant_edges
-    )
-    return CrpDag(decomp.erp_number, dict(multi))
 
 
 @dataclass(frozen=True)

@@ -78,14 +78,6 @@ class ArrivalModel:
         return tuple(l * p for l, p in zip(self.levels, self.probs))
 
     @property
-    def variances(self) -> tuple[Fraction, ...]:
-        """Var a_i at this eps: level^2 p - (level p)^2."""
-        out = []
-        for l, p in zip(self.levels, self.probs):
-            out.append(l * l * p - (l * p) ** 2)
-        return tuple(out)
-
-    @property
     def limit_variances(self) -> tuple[Fraction, ...]:
         """Variance with the mean pushed to nu (eps -> 0): level*nu - nu^2."""
         return tuple(Fraction(l * v - v * v) for l, v in zip(self.levels, self.rates))
@@ -157,11 +149,6 @@ class SimStats:
     rep_perp_norm_means: tuple[float, ...]
     rep_norm_means: tuple[float, ...]
     samples_per_rep: int
-
-    @property
-    def component_sums(self) -> tuple[float, ...]:
-        """Pooled mean of sum of q_i over each demand block."""
-        return tuple(sum(self.queue_means[i - 1] for i in comp) for comp in self.components)
 
     @property
     def ssc_ratio(self) -> float:
@@ -360,7 +347,8 @@ def simulate(
         raise ValueError("seed must be a nonnegative integer")
 
     decomp = crp_decomposition(inst)
-    components = tuple(comp.demands for comp in decomp.components)
+    # a block without demands holds no queue
+    components = tuple(comp.demands for comp in decomp.components if comp.demands)
     comp_cols = [np.array([i - 1 for i in comp], dtype=np.intp) for comp in components]
 
     rep_q_means = []

@@ -18,7 +18,6 @@ from procflex import (
     check_perturbation,
     crp_decomposition,
     crp_gap,
-    crp_graph,
     d_star,
     design_flexibility,
     greedy_vs_optimal_report,
@@ -77,7 +76,7 @@ def test_gate_01_three_block_decomposition_golden(three_block_instance):
 def test_gate_02_component_dag_and_two_step_plans_golden(four_pair_instance):
     start = time.monotonic()
     decomp = crp_decomposition(four_pair_instance)
-    dag = crp_graph(decomp, four_pair_instance)
+    dag = decomp.dag
     assert set(dag.edges) == {(1, 2), (3, 4), (1, 4)}
     report = greedy_vs_optimal_report(four_pair_instance, 2, "final")
     assert report.greedy_trajectory == (3, 2)

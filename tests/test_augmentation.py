@@ -12,6 +12,7 @@ from procflex import (
     add_edge_effect,
     best_single_edge,
     crp_decomposition,
+    erp_trajectory,
     make_instance,
 )
 
@@ -60,9 +61,6 @@ def test_four_pair_two_step_shortcut(four_pair_instance):
 def test_add_edge_effect_errors(four_pair_instance):
     with pytest.raises(EdgeAlreadyPresent):
         add_edge_effect(four_pair_instance, (1, 1))
-    eff = add_edge_effect(four_pair_instance, (1, 1), allow_existing=True)
-    assert eff.delta == 0 and eff.cycle_vertices == frozenset()
-    assert eff.new_erp == 4
     with pytest.raises(IndexOutOfRange):
         add_edge_effect(four_pair_instance, (0, 1))
     with pytest.raises(IndexOutOfRange):
@@ -89,6 +87,31 @@ def test_effect_agrees_with_recomputation():
             assert eff.new_erp >= 1
             checked += 1
     assert checked >= 200
+    # whole decompositions along random sequences of absent edges: the merge
+    # must renumber blocks and sort every edge exactly as a fresh max flow does
+    steps = merges = 0
+    for k in range(150):
+        if k % 3 == 0:
+            inst = random_instance_with_zero_rates(rng, 5, 5, 4)
+        elif k % 3 == 1:
+            inst = random_feasible_instance(rng, 5, 5, 4, denominators=(2, 3, 5))
+        else:
+            inst = random_feasible_instance(rng, 5, 5, 4)
+        start, dec = inst, crp_decomposition(inst)
+        absent = all_absent_edges(inst)
+        rng.shuffle(absent)
+        seq = absent[: rng.randint(1, 6)]
+        counts = []
+        for edge in seq:
+            blocks = dec.erp_number
+            dec = dec.with_edge(edge)
+            inst = inst.with_edge(edge)
+            assert dec == crp_decomposition(inst), (inst, edge)
+            counts.append(dec.erp_number)
+            merges += dec.erp_number < blocks
+        assert erp_trajectory(start, seq) == counts
+        steps += len(seq)
+    assert steps >= 300 and merges >= 30
 
 
 def test_best_edge_attains_the_optimum_merge():

@@ -111,6 +111,8 @@ def test_exit_codes_for_bad_documents(files, capsys, tmp_path):
     for name, text in (
         ("half_index", '{"m":2,"n":2,"demand":[1,1],"supply":[1,1],"edges":[[1.5,1],[2,2]]}'),
         ("bool_size", '{"m":true,"n":1,"demand":[1],"supply":[1],"edges":[[1,1]]}'),
+        ("huge_exponent", '{"m":1,"n":1,"demand":["1e99999999"],"supply":["1e99999999"],'
+                          '"edges":[[1,1]]}'),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(text)
@@ -214,6 +216,8 @@ def test_plan_verb(files, capsys, tmp_path):
     assert run(capsys, "plan", "--eta", "2", "--budget", "3",
                "--objective", "median")[0] == 2
     assert run(capsys, "plan", "--eta", "0", "--budget", "3")[0] == 1
+    code, _, err = run(capsys, "plan", "--eta", "1000000000000", "--budget", "3")
+    assert code == 1 and json.loads(err)["error"] == "SizeLimitExceeded"
 
 
 def test_simulate_csv_and_json(files, capsys):

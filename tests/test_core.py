@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,17 @@ def test_rational_strings_round_trip():
 def test_floats_rejected():
     with pytest.raises(ValueError):
         pf.parse_rational(0.5)
+
+
+def test_huge_decimal_exponents_rejected_before_expansion():
+    # Fraction would spell each of these out in full: seconds to minutes
+    start = time.perf_counter()
+    for text in ("1e10000000", "1e-10000000", "2.5E+1_000_000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent above 1000"):
+            pf.parse_rational(text)
+    assert time.perf_counter() - start < 0.5
+    assert pf.parse_rational("1e1000") == 10**1000
+    assert pf.parse_rational(" 5e-0003 ") == Fraction(1, 200)
 
 
 def test_is_feasible_trivial_cases(three_block_instance):

@@ -98,7 +98,7 @@ def test_planted_blocks_recovered_at_m_1000():
     assert {(c.demands, c.supplies) for c in dec.components} == blocks
     assert dec.erp_number == len(blocks)
     assert dec.redundant_edges == forward
-    dag = pf.crp_graph(dec, inst)
+    dag = dec.dag
     assert dag.edge_multiplicity_total == len(forward)
 
 
@@ -188,7 +188,7 @@ def test_crp_condition_matches_strict_subset_scan():
 
 def test_crp_graph_four_pair(four_pair_instance):
     dec = pf.crp_decomposition(four_pair_instance)
-    dag = pf.crp_graph(dec, four_pair_instance)
+    dag = dec.dag
     assert dag.d == 4
     assert dict(dag.edges) == {(1, 2): 1, (3, 4): 1, (1, 4): 1}
     assert dag.edge_multiplicity_total == len(dec.redundant_edges)
@@ -196,13 +196,13 @@ def test_crp_graph_four_pair(four_pair_instance):
 
 def test_crp_graph_three_block(three_block_instance):
     dec = pf.crp_decomposition(three_block_instance)
-    dag = pf.crp_graph(dec, three_block_instance)
+    dag = dec.dag
     assert dict(dag.edges) == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
 
 
 def test_crp_graph_single_component(small_tree_instance):
     dec = pf.crp_decomposition(small_tree_instance)
-    dag = pf.crp_graph(dec, small_tree_instance)
+    dag = dec.dag
     assert dag.d == 1
     assert not dag.edges
 
@@ -215,7 +215,7 @@ def test_crp_graph_acyclic_bulk():
         else:
             inst = random_instance_with_zero_rates(rng, max_m=6, max_n=6)
         dec = pf.crp_decomposition(inst)
-        dag = pf.crp_graph(dec, inst)
+        dag = dec.dag
         order = topological_order(dag.d, dag.edges)
         assert order is not None, (inst, dag)
         assert sorted(order) == list(range(1, dag.d + 1))
@@ -254,7 +254,7 @@ def test_blocks_match_union_find_oracle():
                 assert dec.component_of_demand(i) == label[("d", i)]
             for j in range(1, inst.n + 1):
                 assert dec.component_of_supply(j) == label[("s", j)]
-            assert dict(pf.crp_graph(dec, inst).edges) == dag_edges
+            assert dict(dec.dag.edges) == dag_edges
         assert pf.crp_condition(inst) == (len(blocks) == 1 and not redundant)
         zero_rate_blocks += sum(1 for d, s, _e in blocks if not d or not s)
     assert zero_rate_blocks >= 80
@@ -267,12 +267,6 @@ def test_component_lookup_rejects_out_of_range(three_block_instance):
             dec.component_of_demand(bad)
         with pytest.raises(KeyError):
             dec.component_of_supply(bad)
-
-
-def test_crp_graph_rejects_a_shape_mismatch(three_block_instance, four_pair_instance):
-    dec = pf.crp_decomposition(three_block_instance)
-    with pytest.raises(pf.InvariantViolation):
-        pf.crp_graph(dec, four_pair_instance)
 
 
 def test_ssc_basis(three_block_instance, small_tree_instance, four_pair_instance):
@@ -337,7 +331,7 @@ def test_verify_accepts_computed_decomposition():
         inst = random_feasible_instance(rng, max_m=5, max_n=5)
         dec = pf.crp_decomposition(inst)
         # feed the components back in reverse pooling order: sinks first
-        dag = pf.crp_graph(dec, inst)
+        dag = dec.dag
         order = sorted(
             range(1, dec.erp_number + 1),
             key=lambda l: len(dag.descendants(l)),

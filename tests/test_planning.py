@@ -10,7 +10,9 @@ from procflex import (
     EdgeAlreadyPresent,
     InvalidK,
     Schedule,
+    SizeLimitExceeded,
     add_edge_effect,
+    best_single_edge,
     crp_decomposition,
     erp_trajectory,
     greedy_vs_optimal_report,
@@ -19,6 +21,8 @@ from procflex import (
     plan_schedule,
     structured_schedule,
 )
+
+from procflex import core
 
 from .conftest import random_feasible_instance, random_instance_with_zero_rates
 
@@ -165,6 +169,10 @@ def test_plan_validates_arguments():
         plan_schedule(3, 0, "sum")
     with pytest.raises(ValueError):
         plan_schedule(3, 2, "nonsense")
+    for eta, K in ((10**12, 3), (3, 10**12), (201, 1), (1, 201)):
+        with pytest.raises(SizeLimitExceeded):
+            plan_schedule(eta, K, "sum")
+    assert plan_schedule(200, 2, "sum").trajectory == (200, 199)
 
 
 def test_objective_tables():
@@ -294,6 +302,27 @@ def test_neutral_edge_matches_per_edge_probes(four_pair_instance):
         want = next((e for e in absent if add_edge_effect(inst, e).delta == 0), None)
         if want is None:
             with pytest.raises(ValueError, match="no neutral edge left"):
-                Schedule._neutral_edge(inst)
+                Schedule._neutral_edge(crp_decomposition(inst))
         else:
-            assert Schedule._neutral_edge(inst) == want
+            assert Schedule._neutral_edge(crp_decomposition(inst)) == want
+
+
+def test_edge_what_ifs_solve_one_max_flow(monkeypatch, four_pair_instance):
+    calls = []
+    max_flow = core._Network.max_flow
+    monkeypatch.setattr(core._Network, "max_flow", lambda net: calls.append(1) or max_flow(net))
+
+    def flows(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    fillers = structured_schedule(3, 3)
+    assert ("filler",) in fillers.moves
+    rep = greedy_vs_optimal_report(four_pair_instance, 2, "sum")
+    assert rep.optimal_mode == "exhaustive"
+    assert flows(greedy_vs_optimal_report, four_pair_instance, 2, "sum") == 1
+    assert flows(greedy_vs_optimal_report, diagonal(10), 3, "sum") == 1
+    assert flows(erp_trajectory, four_pair_instance, [(2, 3), (4, 1), (3, 1)]) == 1
+    assert flows(fillers.realize, diagonal(3)) == 1
+    assert flows(best_single_edge, four_pair_instance) == 1

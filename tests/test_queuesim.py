@@ -1,6 +1,7 @@
 """MaxWeight simulator: scheduling rules, chain dynamics, heavy-traffic
 estimates and state-space-collapse diagnostics."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from procflex import (
     simulate,
 )
 from procflex import queuesim
+from procflex.cli import main
 from procflex.decomposition import crp_decomposition
 from procflex.queuesim import _stream
 
@@ -363,3 +365,17 @@ def test_stats_dict_is_json_friendly():
     )
     # default level is 2, so the limit variance is 2*1 - 1 = 1 and rhs = 1/2
     assert json.loads(json.dumps(report.to_dict()))["rhs"] == "1/2"
+
+
+def test_block_without_demand_holds_no_queue(tmp_path, capsys):
+    # supply 3 has rate 0 and only a redundant edge: a block with no demand
+    inst = make_instance([1, 1], [1, 1, 0], [(1, 1), (2, 2), (1, 2), (2, 3)])
+    stats = simulate(inst, "1/10", horizon=3000, seed=5)
+    assert stats.components == ((1,), (2,))
+    assert math.isfinite(stats.perp_norm_mean) and math.isfinite(stats.ssc_ratio)
+    report = heavy_traffic_check(inst, ["1/10"], horizon=3000, seed=5)
+    assert report.components == ((1,), (2,)) and report.rhs == 1
+    path = tmp_path / "no_demand_block.json"
+    path.write_text(json.dumps(inst.to_dict()))
+    assert main(["simulate", str(path), "--eps", "0.1", "--horizon", "3000"]) == 0
+    assert capsys.readouterr().out.startswith("eps,q_mean_1,q_mean_2,")
