@@ -37,7 +37,7 @@ from .design import design_flexibility
 from .errors import ProcflexError, SizeLimitExceeded, VerificationFailed
 from .planning import plan_schedule
 from .queuesim import heavy_traffic_check
-from .robustness import check_perturbation, crp_gap
+from .robustness import gap_and_checks
 
 SCHEMA_VERSION = 1
 
@@ -185,12 +185,10 @@ def _design(inst: ProblemInstance, options: dict, seed: int) -> dict:
 
 
 def _gap(inst: ProblemInstance, options: dict, seed: int) -> dict:
-    out = crp_gap(inst).to_dict()
+    report, checks = gap_and_checks(inst, options["perturb"] or ())
+    out = report.to_dict()
     if options["perturb"] is not None:
-        out["perturbations"] = [
-            check_perturbation(inst, [parse_rational(w) for w in omega]).to_dict()
-            for omega in options["perturb"]
-        ]
+        out["perturbations"] = [check.to_dict() for check in checks]
     return out
 
 

@@ -357,46 +357,41 @@ def _scaled(value: Fraction, scale: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact max-flow.
+# Exact max flow.
 #
-# Node layout: 0 = source, 1..m = demands, m+1..m+n = supplies, m+n+1 = sink.
-# Arc (demand i -> supply j) carries x_ij.  Every rate is scaled by the LCM of
-# the rate denominators, so capacities and flows are Python ints and the
-# arithmetic stays exact; the "infinite" capacity on instance edges is
-# total*lcm + 1, which no feasible flow can reach.  Flows map back to
-# Fractions only in the returned value and in assignment().  Dinic's
-# algorithm: BFS levels, then blocking flows found by an iterative DFS with
-# current-arc pointers that prunes dead ends.  order_seed permutes the edge
-# arcs so tests can seed the decomposition with genuinely different feasible
+# _Network is Dinic's algorithm on integer capacities over an arc list: BFS
+# levels, then blocking flows found by an iterative DFS with current-arc
+# pointers that prunes dead ends.  max_flow() augments whatever flow the
+# arcs already carry, so a caller that lowers a capacity after draining the
+# flow through it can solve again from the rest of the old flow.
+#
+# _Transport builds the transportation network on it.  Node layout: 0 =
+# source, 1..m = demands, m+1..m+n = supplies, m+n+1 = sink.  Arc (demand i
+# -> supply j) carries x_ij.  Every rate is scaled by the LCM of the rate
+# denominators, so capacities and flows are Python ints and the arithmetic
+# stays exact; the "infinite" capacity on instance edges exceeds every
+# finite arc's capacity put together, so no cut can afford it.  Flows map
+# back to Fractions only in assignment().  order_seed permutes the edge arcs
+# so tests can seed the decomposition with genuinely different feasible
 # points.
 # ---------------------------------------------------------------------------
 
+FREE, IN, OUT = 0, 1, 2
+
 
 class _Network:
-    def __init__(self, inst: ProblemInstance, order_seed: int = 0):
-        self.inst = inst
-        m, n = inst.m, inst.n
-        self.scale = scale = _denominator_lcm(inst.demand + inst.supply)
-        self.source = 0
-        self.sink = m + n + 1
-        self.n_nodes = m + n + 2
+    def __init__(self, n_nodes: int, source: int, sink: int):
+        self.n_nodes = n_nodes
+        self.source = source
+        self.sink = sink
         self.arc_to: list[int] = []
         # residual capacities; arc a ^ 1 is the reverse of arc a
         self.res: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        self.edge_arc: dict[tuple[int, int], int] = {}
-        for i in range(1, m + 1):
-            self._add(0, i, _scaled(inst.demand[i - 1], scale))
-        edge_order = list(inst.sorted_edges)
-        if order_seed:
-            random.Random(order_seed).shuffle(edge_order)
-        inf = _scaled(inst.total, scale) + 1
-        for i, j in edge_order:
-            self.edge_arc[(i, j)] = self._add(i, m + j, inf)
-        for j in range(1, n + 1):
-            self._add(m + j, self.sink, _scaled(inst.supply[j - 1], scale))
+        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
+        # value of the flow the arcs carry
+        self.flow = 0
 
-    def _add(self, u: int, v: int, cap: int) -> int:
+    def add_arc(self, u: int, v: int, cap: int) -> int:
         a = len(self.arc_to)
         self.arc_to.extend((v, u))
         self.res.extend((cap, 0))
@@ -405,8 +400,11 @@ class _Network:
         return a
 
     def _levels(self) -> list[int]:
-        """BFS distance from the source over residual arcs (-1 unreached)."""
-        res, to, adj = self.res, self.arc_to, self.adj
+        """BFS distance from the source over residual arcs (-1 unreached).
+
+        Stops once the sink is reached: every node nearer than the sink has
+        its level by then, and a farther one lies on no shortest path."""
+        res, to, adj, sink = self.res, self.arc_to, self.adj, self.sink
         level = [-1] * self.n_nodes
         level[self.source] = 0
         queue = [self.source]
@@ -416,6 +414,8 @@ class _Network:
                 v = to[a]
                 if level[v] < 0 and res[a] > 0:
                     level[v] = d
+                    if v == sink:
+                        return level
                     queue.append(v)
         return level
 
@@ -460,13 +460,99 @@ class _Network:
             u = to[a ^ 1]
             pointer[u] += 1
 
-    def max_flow(self) -> Fraction:
-        total = 0
+    def max_flow(self) -> int:
+        """Augment the current flow to a maximum one; returns its value."""
         while True:
             level = self._levels()
             if level[self.sink] < 0:
-                return Fraction(total, self.scale)
-            total += self._blocking_flow(level)
+                return self.flow
+            self.flow += self._blocking_flow(level)
+
+    def sink_blocked(self) -> list[bool]:
+        """Nodes with no residual path to the sink.  After max_flow() they
+        form the source side of the min cut with the largest source side."""
+        res, to, adj = self.res, self.arc_to, self.adj
+        blocked = [True] * self.n_nodes
+        blocked[self.sink] = False
+        queue = [self.sink]
+        for v in queue:
+            for a in adj[v]:
+                u = to[a]
+                if blocked[u] and res[a ^ 1] > 0:
+                    blocked[u] = False
+                    queue.append(u)
+        return blocked
+
+
+class _Transport(_Network):
+    """The transportation network of inst.
+
+    force(i, IN) makes demand i's source arc uncapacitated and force(i, OUT)
+    gives it an uncapacitated arc to the sink, so a min cut keeps i on the
+    source or the sink side.  The demands on the source side of a min cut
+    then minimize mu(N(C)) - nu(C) over the sets C the forcing allows, and
+    the cut's value is that minimum plus nu of every demand.
+    """
+
+    def __init__(self, inst: ProblemInstance, order_seed: int = 0):
+        m, n = inst.m, inst.n
+        super().__init__(m + n + 2, 0, m + n + 1)
+        self.inst = inst
+        self.scale = scale = _denominator_lcm(inst.demand + inst.supply)
+        self.inf = 2 * _scaled(inst.total, scale) + 1
+        self.source_arc = [-1] + [self.add_arc(0, i, _scaled(inst.demand[i - 1], scale))
+                                  for i in range(1, m + 1)]
+        self.sink_arc: dict[int, int] = {}
+        self.mode = [FREE] * (m + 1)
+        edge_order = list(inst.sorted_edges)
+        if order_seed:
+            random.Random(order_seed).shuffle(edge_order)
+        self.edge_arc: dict[tuple[int, int], int] = {}
+        for i, j in edge_order:
+            self.edge_arc[(i, j)] = self.add_arc(i, m + j, self.inf)
+        self.supply_arc = [-1] + [self.add_arc(m + j, self.sink, _scaled(inst.supply[j - 1], scale))
+                                  for j in range(1, n + 1)]
+
+    def _set_cap(self, a: int, cap: int) -> None:
+        self.res[a] = cap - self.res[a ^ 1]
+
+    def drain(self, i: int) -> None:
+        """Zero the flow through demand i: its source arc, its edges, the sink
+        arcs of those supplies and its own sink arc."""
+        res = self.res
+        for j in self.inst.demand_adj[i - 1]:
+            a = self.edge_arc[(i, j)]
+            x = res[a ^ 1]
+            if x:
+                res[a] += x
+                res[a ^ 1] = 0
+                s = self.supply_arc[j]
+                res[s] += x
+                res[s ^ 1] -= x
+        a = self.source_arc[i]
+        self.flow -= res[a ^ 1]
+        res[a] += res[a ^ 1]
+        res[a ^ 1] = 0
+        a = self.sink_arc.get(i)
+        if a is not None:
+            res[a] += res[a ^ 1]
+            res[a ^ 1] = 0
+
+    def force(self, i: int, mode: int) -> None:
+        """Set demand i FREE, IN or OUT; the flow stays feasible."""
+        if mode == self.mode[i]:
+            return
+        if self.mode[i] != FREE:
+            # a capacity drops: the flow through i may exceed it
+            self.drain(i)
+        self.mode[i] = mode
+        nu = _scaled(self.inst.demand[i - 1], self.scale)
+        self._set_cap(self.source_arc[i], self.inf if mode == IN else nu)
+        if i not in self.sink_arc:
+            if mode != OUT:
+                return
+            self.sink_arc[i] = self.add_arc(i, self.sink, 0)
+        self._set_cap(self.sink_arc[i], self.inf if mode == OUT else 0)
 
     def assignment(self) -> Assignment:
         res, scale = self.res, self.scale
@@ -477,10 +563,10 @@ class _Network:
         return Assignment(self.inst.m, self.inst.n, entries)
 
 
-def _solved_network(inst: ProblemInstance, order_seed: int = 0) -> tuple[_Network, bool]:
-    net = _Network(inst, order_seed=order_seed)
+def _solved_network(inst: ProblemInstance, order_seed: int = 0) -> tuple[_Transport, bool]:
+    net = _Transport(inst, order_seed=order_seed)
     value = net.max_flow()
-    return net, value == inst.total
+    return net, value == _scaled(inst.total, net.scale)
 
 
 def is_feasible(inst: ProblemInstance) -> bool:

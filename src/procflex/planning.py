@@ -481,9 +481,10 @@ def greedy_vs_optimal_report(
 
     With no redundant edges in the start graph the structured family is
     provably optimal, so its dynamic program supplies the optimal side; a
-    start graph that already has redundant edges falls outside that theory,
-    so small cases are brute-forced over all ordered K-tuples of absent
-    edges and large ones report the optimum as unavailable.
+    start graph that already has redundant edges, or a block without a
+    demand or a supply (a zero-rate vertex on its own), falls outside that
+    theory, so small cases are brute-forced over all ordered K-tuples of
+    absent edges and large ones report the optimum as unavailable.
     """
     if not isinstance(K, int) or K < 0:
         raise ValueError(f"horizon must be a non-negative integer, got {K!r}")
@@ -506,7 +507,7 @@ def greedy_vs_optimal_report(
     elif len(absent) < K:
         mode = "unavailable"
         note = f"fewer than {K} absent edges; no K-step sequence exists"
-    elif not dec.redundant_edges:
+    elif not dec.redundant_edges and all(c.demands and c.supplies for c in dec.components):
         mode = "structured"
         report = plan_schedule(eta, K, obj)
         opt_edges = tuple(report.schedule._realize(dec))
@@ -525,8 +526,12 @@ def greedy_vs_optimal_report(
                 opt_edges, opt_traj, opt_value = seq, tuple(traj), val
     else:
         mode = "unavailable"
+        reason = (
+            "has redundant edges" if dec.redundant_edges
+            else "has a block without a demand or a supply"
+        )
         note = (
-            "start graph has redundant edges and is too large to brute-force;"
+            f"start graph {reason} and is too large to brute-force;"
             " structured optimality does not apply"
         )
 

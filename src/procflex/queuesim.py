@@ -24,9 +24,17 @@ import numpy as np
 
 from .core import ProblemInstance, is_feasible, parse_rational
 from .decomposition import crp_decomposition
-from .errors import Infeasible, InvalidEpsilon, InvariantViolation, IsolatedServer
+from .errors import (
+    Infeasible,
+    InvalidEpsilon,
+    InvariantViolation,
+    IsolatedServer,
+    SizeLimitExceeded,
+)
 
 _CHUNK = 1 << 15
+# a stream key holds the queue or server index in its low 20 bits
+_MAX_VERTICES = 1 << 20
 _ARRIVAL_STREAM = 1
 _TIE_STREAM = 2
 
@@ -323,7 +331,13 @@ def simulate(
     ``warmup`` defaults to 10% of the horizon.  Replications use disjoint
     Philox streams derived from (seed, replication), so adding replications
     never perturbs earlier ones; pooling weighs replications equally.
+    Refuses 2^20 or more queues or servers, past what the stream keys hold.
     """
+    if max(inst.m, inst.n) >= _MAX_VERTICES:
+        raise SizeLimitExceeded(
+            f"{inst.m} queues and {inst.n} servers; the simulator takes fewer"
+            f" than {_MAX_VERTICES} of each"
+        )
     for j in range(inst.n):
         if not inst.supply_adj[j]:
             raise IsolatedServer(f"supply vertex {j + 1} has no edges")

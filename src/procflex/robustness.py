@@ -5,6 +5,20 @@ shifting less than 2*delta of demand (in l1) around a feasible system can
 only merge blocks, never split them.  The gap itself ignores redundant
 edges; a variant that counts them is what drops when a useless-looking edge
 is added, the Braess effect.
+
+Both gaps are minima of the surplus f(C) = mu(N(C)) - nu(C) over demand
+sets C, and both are found by min cuts in time polynomial in the instance.
+A min cut of the transportation network with some demands forced
+onto the source side and some onto the sink side minimizes f over the sets
+that contain the first and avoid the second (Picard and Queyranne 1980), and
+the demands that cannot reach the sink in its residual graph form the
+largest minimizer.  A set qualifies for the gap exactly when it splits the
+demands of a block, so a block with lowest demand s and other demands
+t1 < ... < tk needs two chains of k cuts: step c forces {s, t1..t(c-1)} in
+and tc out, or tc in and {s, t1..t(c-1)} out.  Every cut runs on one network
+and starts from the previous cut's flow.  The minimizers of one step form a
+lattice (Fujishige, Submodular Functions and Optimization), which is what
+lets the lexicographically smallest minimizer be read off the largest ones.
 """
 
 from __future__ import annotations
@@ -12,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ProblemInstance, is_feasible, make_instance, parse_rational
-from .decomposition import crp_decomposition
+from .core import FREE, IN, OUT, ProblemInstance, _Transport, is_feasible, make_instance
+from .core import parse_rational
+from .decomposition import CrpDecomposition, crp_decomposition
 from .errors import GapUndefined, InvariantViolation, SizeLimitExceeded
 
 __all__ = [
@@ -22,6 +37,12 @@ __all__ = [
     "check_perturbation",
     "crp_gap",
 ]
+
+# Largest m + n + |E| a gap request may have.  The cost grows with the block
+# sizes and the edge count; pooled graphs at this size took up to 9.5 s
+# (m = 500 with 3000 edges), 4.9 s at m = 800 with 2400 edges, and the
+# 1000-chain 3.3 s (Python 3.11, one core).
+MAX_GAP_SIZE = 4000
 
 
 @dataclass(frozen=True)
@@ -40,68 +61,127 @@ class GapReport:
         }
 
 
-def _subset_scan(inst: ProblemInstance, limit: int):
-    """Min full-edge surplus under both inclusion rules, by 2^m subset scan.
+def _decomposed(inst: ProblemInstance) -> CrpDecomposition:
+    size = inst.m + inst.n + len(inst.edges)
+    if size > MAX_GAP_SIZE:
+        raise SizeLimitExceeded(
+            f"gap on {size} vertices and edges; the limit is {MAX_GAP_SIZE}"
+        )
+    return crp_decomposition(inst)
 
-    Returns ((delta, argmin C), (alt, alt argmin)); each half is (None, None)
-    when no subset qualifies.  Ties break toward the lexicographically
-    smallest demand tuple.
+
+def _gap_chains(dec: CrpDecomposition):
+    """The steps of each chain; a step lists the (demand, IN/OUT) changes that
+    lead to its forced sets from the previous step's."""
+    for comp in dec.components:
+        if len(comp.demands) < 2:
+            continue
+        s, *ts = comp.demands
+        pairs = list(zip(ts, ts[1:]))
+        yield [[(s, IN), (ts[0], OUT)]] + [[(t, IN), (u, OUT)] for t, u in pairs]
+        yield [[(ts[0], IN), (s, OUT)]] + [[(t, OUT), (u, IN)] for t, u in pairs]
+
+
+def _alt_chains(dec: CrpDecomposition):
+    """One chain per DAG tail block a over its heads b1 < b2 < ... that hold a
+    demand: step c forces a's lowest demand and the demands of b1..b(c-1) in
+    and those of bc out.
+
+    Every set a step allows has f > 0.  If it splits a, its kept-edge surplus
+    is already positive.  Otherwise it holds all of a, so a redundant edge
+    reaches a supply of bc, whose rate is positive because bc holds a demand
+    and pools; nothing in bc offsets it, and every other block's share of f
+    is at least 0.  Conversely a set with f > 0 that splits no block is a
+    union of whole blocks that misses some head b of one of its blocks a;
+    the first such head of a gives a step that allows it.
     """
-    m, n = inst.m, inst.n
-    if m > limit:
-        raise SizeLimitExceeded(f"gap scan is exponential in m; {m} > limit {limit}")
-    kept = frozenset(inst.edges) - crp_decomposition(inst).redundant_edges
-    full_nbr = [0] * (m + 1)
-    kept_nbr = [0] * (m + 1)
-    for (i, j) in inst.edges:
-        full_nbr[i] |= 1 << (j - 1)
-        if (i, j) in kept:
-            kept_nbr[i] |= 1 << (j - 1)
-
-    supply_sum_cache: dict[int, Fraction] = {0: Fraction(0)}
-
-    def supply_sum(mask: int) -> Fraction:
-        if mask not in supply_sum_cache:
-            low = mask & -mask
-            supply_sum_cache[mask] = (
-                supply_sum(mask ^ low) + inst.supply[low.bit_length() - 1]
-            )
-        return supply_sum_cache[mask]
-
-    best = {"kept": None, "full": None}
-    for mask in range(1, 1 << m):
-        subset = tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1)
-        demand = sum(inst.demand[i - 1] for i in subset)
-        full_mask = kept_mask = 0
-        for i in subset:
-            full_mask |= full_nbr[i]
-            kept_mask |= kept_nbr[i]
-        surplus = supply_sum(full_mask) - demand
-        kept_surplus = supply_sum(kept_mask) - demand
-        for rule, included in (("kept", kept_surplus > 0), ("full", surplus > 0)):
-            if included:
-                key = (surplus, subset)
-                if best[rule] is None or key < best[rule]:
-                    best[rule] = key
-    out = []
-    for rule in ("kept", "full"):
-        if best[rule] is None:
-            out.append((None, None))
-        else:
-            out.append((best[rule][0], frozenset(best[rule][1])))
-    return tuple(out)
+    heads: dict[int, list[int]] = {}
+    for a, b in sorted(dec.dag.edges):
+        if dec.components[b - 1].demands:
+            heads.setdefault(a, []).append(b)
+    for a, bs in heads.items():
+        demands = [dec.components[b - 1].demands for b in bs]
+        steps = [[(dec.components[a - 1].demands[0], IN)] + [(i, OUT) for i in demands[0]]]
+        steps += [[(i, IN) for i in d] + [(i, OUT) for i in e]
+                  for d, e in zip(demands, demands[1:])]
+        yield steps
 
 
-def crp_gap(inst: ProblemInstance, limit: int = 20) -> GapReport:
+def _chain_cuts(inst: ProblemInstance, chains):
+    """Min cuts along every step of every chain, on one network.
+
+    Yields (min f over the sets the step allows, network) per step.  Each
+    cut's flow starts from the previous one's: only the demands whose
+    forcing changed are drained first.
+    """
+    net = _Transport(inst)
+    for steps in chains:
+        for changes in steps:
+            for i, mode in changes:
+                net.force(i, mode)
+            yield Fraction(net.max_flow(), net.scale) - inst.total, net
+        for i in dict.fromkeys(i for changes in steps for i, _mode in changes):
+            net.force(i, FREE)
+
+
+def _lex_smallest(inst: ProblemInstance, dec: CrpDecomposition, delta, tops) -> frozenset:
+    """The lexicographically smallest qualifying set with f = delta.
+
+    The minimizers of one step form a lattice whose largest set is its entry
+    of `tops`, and the smallest minimizer overall is a prefix of the sorted
+    largest set of its step: else that largest set would come first.  So
+    extend P by the smallest next element among the steps P is a prefix of,
+    until P itself qualifies and attains delta.
+    """
+    sizes = [len(c.demands) for c in dec.components]
+    counts = [0] * len(sizes)
+    split = 0
+    reached: set[int] = set()
+    surplus = Fraction(0)
+    chosen: list[int] = []
+    while not (split and surplus == delta):
+        k = len(chosen)
+        v = min(t[k] for t in tops)
+        tops = [t for t in tops if t[k] == v]
+        chosen.append(v)
+        surplus -= inst.demand[v - 1]
+        for j in inst.demand_adj[v - 1]:
+            if j not in reached:
+                reached.add(j)
+                surplus += inst.supply[j - 1]
+        l = dec.demand_labels[v - 1] - 1
+        counts[l] += 1
+        split += (counts[l] == 1) - (counts[l] == sizes[l])
+    return frozenset(chosen)
+
+
+def _gap_report(inst: ProblemInstance, dec: CrpDecomposition) -> GapReport:
+    delta = None
+    tops: list[list[int]] = []
+    for v, net in _chain_cuts(inst, _gap_chains(dec)):
+        if delta is None or v < delta:
+            delta, tops = v, []
+        if v == delta:
+            blocked = net.sink_blocked()
+            tops.append([i for i in range(1, inst.m + 1) if blocked[i]])
+    alt = min((v for v, _net in _chain_cuts(inst, _alt_chains(dec))), default=None)
+    if delta is None:
+        return GapReport(None, None, alt)
+    alt = delta if alt is None else min(alt, delta)
+    return GapReport(delta, _lex_smallest(inst, dec, delta, tops), alt)
+
+
+def crp_gap(inst: ProblemInstance) -> GapReport:
     """Robustness margin delta plus the redundant-edge-sensitive variant.
 
     A demand subset qualifies when its neighborhood through non-redundant
     edges has strictly more capacity; the minimized surplus counts every
     edge.  No qualifying subset at all (a fully balanced split) leaves the
-    gap undefined.
+    gap undefined.  The alternative gap minimizes the same surplus over the
+    subsets where it is positive.  Ties go to the lexicographically smallest
+    demand tuple.  Refuses instances whose m + n + |E| exceeds MAX_GAP_SIZE.
     """
-    (delta, argmin), (alt, _alt_argmin) = _subset_scan(inst, limit)
-    return GapReport(crp_gap=delta, argmin_set=argmin, alt_gap=alt)
+    return _gap_report(inst, _decomposed(inst))
 
 
 @dataclass(frozen=True)
@@ -122,17 +202,16 @@ class PerturbationCheck:
         }
 
 
-def check_perturbation(inst: ProblemInstance, omega, limit: int = 20) -> PerturbationCheck:
-    """Is the demand change omega guaranteed not to split any block?
-
-    Admissible means: total demand unchanged, l1 norm strictly below twice
-    the gap, and the perturbed system still feasible.  For admissible omega
-    the perturbed block count is computed and checked against the bound.
-    """
+def _omega(inst: ProblemInstance, omega) -> tuple[Fraction, ...]:
     w = tuple(parse_rational(v) for v in omega)
     if len(w) != inst.m:
         raise ValueError(f"omega needs {inst.m} entries, got {len(w)}")
-    report = crp_gap(inst, limit)
+    return w
+
+
+def _perturbation_check(
+    inst: ProblemInstance, w: tuple[Fraction, ...], report: GapReport, base_erp: int
+) -> PerturbationCheck:
     if report.crp_gap is None:
         raise GapUndefined("no demand subset qualifies; the gap is undefined")
     delta = report.crp_gap
@@ -153,7 +232,6 @@ def check_perturbation(inst: ProblemInstance, omega, limit: int = 20) -> Perturb
                 reasons.append("perturbed polytope is empty")
             else:
                 perturbed = cand
-    base_erp = crp_decomposition(inst).erp_number
     perturbed_erp = None
     if perturbed is not None:
         perturbed_erp = crp_decomposition(perturbed).erp_number
@@ -169,3 +247,27 @@ def check_perturbation(inst: ProblemInstance, omega, limit: int = 20) -> Perturb
         base_erp=base_erp,
         perturbed_erp=perturbed_erp,
     )
+
+
+def check_perturbation(inst: ProblemInstance, omega) -> PerturbationCheck:
+    """Is the demand change omega guaranteed not to split any block?
+
+    Admissible means: total demand unchanged, l1 norm strictly below twice
+    the gap, and the perturbed system still feasible.  For admissible omega
+    the perturbed block count is computed and checked against the bound.
+    """
+    w = _omega(inst, omega)
+    dec = _decomposed(inst)
+    return _perturbation_check(inst, w, _gap_report(inst, dec), dec.erp_number)
+
+
+def gap_and_checks(inst: ProblemInstance, omegas) -> tuple[GapReport, list[PerturbationCheck]]:
+    """crp_gap(inst) and check_perturbation(inst, omega) for each omega, from
+    one decomposition and one gap computation.  Not exported: it serves the
+    CLI's `gap --perturb`."""
+    dec = _decomposed(inst)
+    report = _gap_report(inst, dec)
+    return report, [
+        _perturbation_check(inst, _omega(inst, omega), report, dec.erp_number)
+        for omega in omegas
+    ]

@@ -304,6 +304,62 @@ def gap_by_definition(inst: ProblemInstance):
     return best, alt_best
 
 
+# the subset scan visits 2^m subsets
+SCAN_MAX_DEMANDS = 16
+
+
+def subset_scan(inst: ProblemInstance):
+    """Min full-edge surplus under both inclusion rules, by 2^m subset scan.
+
+    Returns ((delta, argmin C), (alt, alt argmin)); each half is (None, None)
+    when no subset qualifies.  Ties break toward the lexicographically
+    smallest demand tuple.  Redundant edges come from crp_decomposition.
+    """
+    m = inst.m
+    if m > SCAN_MAX_DEMANDS:
+        raise SizeLimitExceeded(f"subset scan over {m} demands; the limit is {SCAN_MAX_DEMANDS}")
+    kept = frozenset(inst.edges) - crp_decomposition(inst).redundant_edges
+    full_nbr = [0] * (m + 1)
+    kept_nbr = [0] * (m + 1)
+    for (i, j) in inst.edges:
+        full_nbr[i] |= 1 << (j - 1)
+        if (i, j) in kept:
+            kept_nbr[i] |= 1 << (j - 1)
+
+    supply_sum_cache: dict[int, Fraction] = {0: Fraction(0)}
+
+    def supply_sum(mask: int) -> Fraction:
+        if mask not in supply_sum_cache:
+            low = mask & -mask
+            supply_sum_cache[mask] = (
+                supply_sum(mask ^ low) + inst.supply[low.bit_length() - 1]
+            )
+        return supply_sum_cache[mask]
+
+    best = {"kept": None, "full": None}
+    for mask in range(1, 1 << m):
+        subset = tuple(i for i in range(1, m + 1) if mask >> (i - 1) & 1)
+        demand = sum(inst.demand[i - 1] for i in subset)
+        full_mask = kept_mask = 0
+        for i in subset:
+            full_mask |= full_nbr[i]
+            kept_mask |= kept_nbr[i]
+        surplus = supply_sum(full_mask) - demand
+        kept_surplus = supply_sum(kept_mask) - demand
+        for rule, included in (("kept", kept_surplus > 0), ("full", surplus > 0)):
+            if included:
+                key = (surplus, subset)
+                if best[rule] is None or key < best[rule]:
+                    best[rule] = key
+    out = []
+    for rule in ("kept", "full"):
+        if best[rule] is None:
+            out.append((None, None))
+        else:
+            out.append((best[rule][0], frozenset(best[rule][1])))
+    return tuple(out)
+
+
 def hall_feasible(inst: ProblemInstance, limit: int = 20) -> bool:
     """Exhaustive capacity-region check; independent oracle for is_feasible.
 
@@ -511,13 +567,13 @@ def topological_order(d: int, edges) -> list | None:
     return order if len(order) == d else None
 
 
-def gap_redundancy_invariance(inst: ProblemInstance, limit: int = 20) -> bool:
+def gap_redundancy_invariance(inst: ProblemInstance) -> bool:
     """Does dropping the redundant edges leave the gap exactly unchanged?"""
-    base = crp_gap(inst, limit)
+    base = crp_gap(inst)
     if base.crp_gap is None:
         raise GapUndefined("no demand subset qualifies; the gap is undefined")
     kept = frozenset(inst.edges) - crp_decomposition(inst).redundant_edges
-    stripped = crp_gap(inst.restricted(kept), limit)
+    stripped = crp_gap(inst.restricted(kept))
     return base.crp_gap == stripped.crp_gap
 
 

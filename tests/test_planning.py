@@ -25,6 +25,7 @@ from procflex import (
 from procflex import core
 
 from .conftest import random_feasible_instance, random_instance_with_zero_rates
+from .oracles import best_sequences_by_trajectory
 
 
 def diagonal(eta):
@@ -283,6 +284,22 @@ def test_greedy_vs_optimal_edge_cases(four_pair_instance):
     assert rep.optimal_mode == "unavailable"
     assert rep.optimal_edges is None
     assert "brute-force" in rep.note
+
+
+def test_greedy_vs_optimal_with_a_vertex_outside_every_pairing():
+    # no redundant edge, but the zero-rate demand 2 is a block without a
+    # supply, so the structured family does not apply
+    inst = make_instance([1, 0], [1], [(1, 1)])
+    rep = greedy_vs_optimal_report(inst, 1)
+    assert rep.optimal_mode == "exhaustive"
+    objective = [lambda v: v]
+    assert rep.optimal_value == best_sequences_by_trajectory(inst, 1, objective)[0]
+    assert rep.greedy_value >= rep.optimal_value
+
+    wide = make_instance([1] * 5 + [0], [1] * 5, [(i, i) for i in range(1, 6)])
+    rep = greedy_vs_optimal_report(wide, 4)
+    assert rep.optimal_mode == "unavailable"
+    assert "without a demand or a supply" in rep.note
 
 
 def test_neutral_edge_matches_per_edge_probes(four_pair_instance):

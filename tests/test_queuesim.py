@@ -14,6 +14,7 @@ from procflex import (
     InvalidEpsilon,
     InvariantViolation,
     IsolatedServer,
+    SizeLimitExceeded,
     design_flexibility,
     heavy_traffic_check,
     make_arrival_model,
@@ -23,6 +24,7 @@ from procflex import (
 from procflex import queuesim
 from procflex.cli import main
 from procflex.decomposition import crp_decomposition
+from procflex.core import ProblemInstance
 from procflex.queuesim import _stream
 
 from .conftest import diagonal_instance, random_feasible_instance
@@ -215,6 +217,15 @@ def test_simulate_error_taxonomy():
     model = make_arrival_model(one, "0.1")
     with pytest.raises(ValueError):
         simulate(one, "0.2", horizon=100, model=model)
+
+
+def test_simulate_refuses_indices_past_the_stream_keys():
+    # the key (rep << 24) | (kind << 20) | index holds 20 bits of index;
+    # the refusal comes before any rate, edge or stream is looked at
+    top = 1 << 20
+    for m, n in ((top, 1), (1, top)):
+        with pytest.raises(SizeLimitExceeded):
+            simulate(ProblemInstance(m, n, (), (), frozenset()), "0.1", horizon=10)
 
 
 def test_simulate_matches_stepwise_reference():

@@ -13,9 +13,16 @@ from procflex import (
     crp_gap,
     make_instance,
 )
+from procflex.core import FREE, _Transport
+from procflex.robustness import MAX_GAP_SIZE, _alt_chains, _chain_cuts, _gap_chains
 
-from .conftest import braess_instance, random_feasible_instance
-from .oracles import gap_by_definition, gap_redundancy_invariance
+from .conftest import (
+    braess_instance,
+    planted_block_instance,
+    random_feasible_instance,
+    random_instance_with_zero_rates,
+)
+from .oracles import gap_by_definition, gap_redundancy_invariance, subset_scan
 
 F = Fraction
 
@@ -157,9 +164,103 @@ def test_undefined_gap_handling():
         gap_redundancy_invariance(diag)
 
 
-def test_scan_size_limit(three_block_instance):
-    with pytest.raises(SizeLimitExceeded):
-        crp_gap(three_block_instance, limit=4)
-    big = make_instance([1] * 21, [1] * 21, [(i, i) for i in range(1, 22)])
+def test_gap_size_limit(three_block_instance):
+    # 21 unit pairs: no block has two demands, so no subset qualifies
+    diag = make_instance([1] * 21, [1] * 21, [(i, i) for i in range(1, 22)])
+    report = crp_gap(diag)
+    assert report.crp_gap is None and report.argmin_set is None
+    assert report.alt_gap is None
+    k = MAX_GAP_SIZE // 3 + 1
+    big = make_instance([1] * k, [1] * k, [(i, i) for i in range(1, k + 1)])
     with pytest.raises(SizeLimitExceeded):
         crp_gap(big)
+    with pytest.raises(SizeLimitExceeded):
+        check_perturbation(big, [0] * k)
+
+
+def _gap_cases(rng, count):
+    """Integer, fractional and zero-rate instances in equal parts."""
+    for k in range(count):
+        if k % 3 == 0:
+            yield random_feasible_instance(rng, 7, 7, 4)
+        elif k % 3 == 1:
+            yield random_feasible_instance(rng, 7, 7, 4, denominators=(1, 2, 3, 5))
+        else:
+            yield random_instance_with_zero_rates(rng, 6, 6, 4)
+
+
+def test_gap_matches_the_subset_scan():
+    rng = random.Random(83)
+    # four cuts attain the gap 1, with largest minimizers {1, 7}, {1, 2, 5, 7},
+    # {2, ..., 7} and {7}: the argmin grows a prefix only inside the cuts it
+    # is a prefix of (after 1, 2 the demand 4 of {2, ..., 7} would be wrong)
+    tied = make_instance(
+        [1, 3, 2, 3, 5, 4, 2],
+        [1, 0, 3, 7, 3, 1, 5],
+        [(1, 2), (1, 5), (1, 6), (2, 7), (3, 3), (3, 4), (4, 4), (5, 3), (5, 5),
+         (5, 7), (6, 1), (6, 4), (6, 6), (7, 5)],
+    )
+    assert crp_gap(tied).argmin_set == frozenset({1, 2, 5, 7})
+    defined = 0
+    for inst in _gap_cases(rng, 630):
+        (delta, argmin), (alt, _alt_argmin) = subset_scan(inst)
+        report = crp_gap(inst)
+        assert (report.crp_gap, report.argmin_set, report.alt_gap) == (delta, argmin, alt)
+        defined += delta is not None
+    assert defined >= 300
+
+
+def test_warm_started_cuts_match_fresh_networks():
+    rng = random.Random(89)
+    steps_checked = 0
+    for inst in _gap_cases(rng, 150):
+        dec = crp_decomposition(inst)
+        chains = list(_gap_chains(dec)) + list(_alt_chains(dec))
+        warm = [v for v, _net in _chain_cuts(inst, chains)]
+        fresh = []
+        for steps in chains:
+            modes = {}
+            for changes in steps:
+                modes.update(changes)
+                net = _Transport(inst)
+                for i, mode in modes.items():
+                    net.force(i, mode)
+                fresh.append(Fraction(net.max_flow(), net.scale) - inst.total)
+        assert warm == fresh
+        steps_checked += len(warm)
+    assert steps_checked >= 300
+
+
+def test_drain_zeroes_one_demand_and_keeps_a_flow():
+    rng = random.Random(97)
+    for _ in range(40):
+        inst = random_feasible_instance(rng, 6, 6, 4)
+        net = _Transport(inst)
+        net.max_flow()
+        i = rng.randint(1, inst.m)
+        net.drain(i)
+        x = net.assignment()
+        assert all(x.value(i, j) == 0 for j in range(1, inst.n + 1))
+        rows, cols = x.row_sums(), x.col_sums()
+        assert net.flow == sum(rows) * net.scale
+        assert all(r <= d for r, d in zip(rows, inst.demand))
+        assert all(c <= s for c, s in zip(cols, inst.supply))
+        # draining leaves the mode alone; re-solving restores a max flow
+        assert net.mode[i] == FREE
+        assert Fraction(net.max_flow(), net.scale) == inst.total
+
+
+def test_pooled_graph_of_200_demands_is_in_reach():
+    inst, _blocks, _forward = planted_block_instance(random.Random(7), 200)
+    assert inst.m + inst.n + len(inst.edges) <= MAX_GAP_SIZE
+    report = crp_gap(inst)
+    C = report.argmin_set
+    full_n = {j for (i, j) in inst.edges if i in C}
+    assert sum(inst.supply[j - 1] for j in full_n) - sum(
+        inst.demand[i - 1] for i in C
+    ) == report.crp_gap
+    labels = crp_decomposition(inst).demand_labels
+    assert any(
+        0 < sum(labels[i - 1] == l for i in C) < labels.count(l) for l in set(labels)
+    )
+    assert 0 < report.alt_gap <= report.crp_gap
