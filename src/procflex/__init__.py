@@ -34,7 +34,6 @@ from .errors import (
 from .core import (
     Assignment,
     ProblemInstance,
-    SupportGraph,
     check_assignment,
     find_feasible_point,
     format_rational,
@@ -43,7 +42,6 @@ from .core import (
     is_feasible,
     make_instance,
     parse_rational,
-    support_graph,
     validate_instance,
 )
 from .decomposition import (

@@ -35,7 +35,6 @@ from .errors import (
 __all__ = [
     "ProblemInstance",
     "Assignment",
-    "SupportGraph",
     "parse_rational",
     "format_rational",
     "validate_instance",
@@ -43,7 +42,6 @@ __all__ = [
     "is_feasible",
     "find_feasible_point",
     "greedy_extreme_point",
-    "support_graph",
     "gcd_combined",
 ]
 
@@ -266,72 +264,6 @@ def check_assignment(inst: ProblemInstance, x: Assignment) -> None:
         raise NotFeasiblePoint("row sums do not match demand")
     if x.col_sums() != inst.supply:
         raise NotFeasiblePoint("column sums do not match supply")
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-@dataclass(frozen=True)
-class SupportGraph:
-    """Support of an assignment plus connected-component labels.
-
-    Labels are 0-based, assigned in order of first appearance while scanning
-    demand vertices 1..m then supply vertices 1..n; isolated vertices get
-    their own component.
-    """
-
-    edges: frozenset[tuple[int, int]]
-    demand_labels: tuple[int, ...]
-    supply_labels: tuple[int, ...]
-
-    @property
-    def n_components(self) -> int:
-        top = -1
-        for l in self.demand_labels + self.supply_labels:
-            top = max(top, l)
-        return top + 1
-
-    def is_forest(self) -> bool:
-        vertices = len(self.demand_labels) + len(self.supply_labels)
-        return len(self.edges) == vertices - self.n_components
-
-
-def _component_labels(
-    m: int, n: int, edges: Iterable[tuple[int, int]]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # vertices 0..m-1 demands, m..m+n-1 supplies
-    uf = _UnionFind(m + n)
-    for i, j in edges:
-        uf.union(i - 1, m + j - 1)
-    labels: dict[int, int] = {}
-    out = []
-    for v in range(m + n):
-        root = uf.find(v)
-        if root not in labels:
-            labels[root] = len(labels)
-        out.append(labels[root])
-    return tuple(out[:m]), tuple(out[m:])
-
-
-def support_graph(x: Assignment) -> SupportGraph:
-    """Edges carrying strictly positive flow, with component labels."""
-    edges = x.support()
-    d_labels, s_labels = _component_labels(x.m, x.n, edges)
-    return SupportGraph(edges, d_labels, s_labels)
 
 
 def gcd_combined(demand: Sequence, supply: Sequence) -> Fraction:

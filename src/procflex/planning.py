@@ -97,7 +97,7 @@ def make_objective(spec, eta: int, K: int) -> Objective:
         raise ValueError(f"unknown objective {spec!r}; use 'sum', 'final' or tables")
     tables = []
     for row in spec:
-        vals = tuple(parse_rational(v) if isinstance(v, str) else Fraction(v) for v in row)
+        vals = tuple(parse_rational(v) for v in row)
         if len(vals) != eta:
             raise ValueError(f"objective table needs {eta} entries, got {len(vals)}")
         if any(a > b for a, b in zip(vals, vals[1:])):

@@ -20,7 +20,6 @@ from procflex.core import (
     check_assignment,
     find_feasible_point,
     make_instance,
-    support_graph,
 )
 from procflex.decomposition import crp_condition, crp_decomposition
 from procflex.errors import (
@@ -279,6 +278,49 @@ def max_balanced_cover_size(demand, supply) -> int:
 
     m, n = len(demand), len(supply)
     return rec(tuple(range(1, m + 1)), tuple(range(1, n + 1)))
+
+
+def lex_balanced_cover(demand, supply) -> tuple:
+    """Parts of the maximum balanced cover that a lexicographic search finds
+    first: the block holding the lowest remaining demand is tried demand side
+    first, then supply side, each in lexicographic order of its tuple, and
+    only a strictly larger count replaces an earlier candidate.  A memo over
+    (remaining demands, remaining supplies) keeps it to m+n around 16."""
+    nu = [Fraction(v) for v in demand]
+    mu = [Fraction(v) for v in supply]
+
+    def lex_subsets(pool):
+        return sorted(
+            sub for r in range(1, len(pool) + 1) for sub in itertools.combinations(pool, r)
+        )
+
+    memo: dict = {}
+
+    def rec(di: tuple, sj: tuple):
+        if not di and not sj:
+            return 0, ()
+        if not di or not sj:
+            return None
+        if (di, sj) in memo:
+            return memo[(di, sj)]
+        best = None
+        for asub in lex_subsets(di):
+            if asub[0] != di[0]:
+                continue
+            target = sum((nu[i - 1] for i in asub), Fraction(0))
+            for bsub in lex_subsets(sj):
+                if sum((mu[j - 1] for j in bsub), Fraction(0)) != target:
+                    continue
+                rest = rec(
+                    tuple(i for i in di if i not in asub),
+                    tuple(j for j in sj if j not in bsub),
+                )
+                if rest is not None and (best is None or 1 + rest[0] > best[0]):
+                    best = (1 + rest[0], ((asub, bsub),) + rest[1])
+        memo[(di, sj)] = best
+        return best
+
+    return rec(tuple(range(1, len(nu) + 1)), tuple(range(1, len(mu) + 1)))[1]
 
 
 def gap_by_definition(inst: ProblemInstance):
@@ -580,7 +622,7 @@ def gap_redundancy_invariance(inst: ProblemInstance) -> bool:
 def is_extreme_point(inst: ProblemInstance, x: Assignment) -> bool:
     """True iff x is a vertex of the polytope, i.e. its support is a forest."""
     check_assignment(inst, x)
-    return support_graph(x).is_forest()
+    return _forest_components(x.m, x.n, x.support()) is not None
 
 
 def sub_instance(

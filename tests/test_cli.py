@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from procflex import cli, validate_instance
 from procflex.cli import main
+from procflex.design import MAX_COVER_SIZE
 
 
 THREE_BLOCK = {
@@ -136,6 +137,19 @@ def test_design_verb(files, capsys):
 
     code, _, err = run(capsys, "design", "--erp", "5", files["two"])
     assert code == 1 and json.loads(err)["error"] == "TargetAboveDstarStar"
+
+
+def test_design_size_limit(tmp_path, capsys):
+    # one more vertex than the cover search takes
+    m = MAX_COVER_SIZE // 2 + 1
+    n = MAX_COVER_SIZE + 1 - m
+    doc = {"m": m, "n": n, "demand": [1] * m, "supply": [1] * (n - 1) + [m - n + 1],
+           "edges": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "design", "--erp", "1", str(path))
+    assert code == 1 and out == ""
+    assert [json.loads(line)["error"] for line in err.splitlines()] == ["SizeLimitExceeded"]
 
 
 def test_gap_verb_and_perturbations(files, capsys, tmp_path):

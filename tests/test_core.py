@@ -11,7 +11,7 @@ from procflex.core import check_assignment
 
 from .conftest import random_feasible_instance
 from . import oracles
-from .oracles import hall_feasible, is_extreme_point
+from .oracles import _forest_components, hall_feasible, is_extreme_point
 
 
 def test_validate_minimal_identity():
@@ -133,28 +133,19 @@ def test_greedy_extreme_point_single_pair():
 def test_greedy_extreme_point_tie_splits_components():
     x = pf.greedy_extreme_point([2, 1], [2, 1], order=[(1, 1), (2, 2)])
     assert dict(x.entries) == {(1, 1): 2, (2, 2): 1}
-    assert pf.support_graph(x).n_components == 2
+    assert _forest_components(2, 2, x.support()) == 2
 
 
 def test_greedy_extreme_point_explicit_tree_order():
     x = pf.greedy_extreme_point([2, 1], [2, 1], order=[(1, 2), (1, 1), (2, 1)])
     assert dict(x.entries) == {(1, 2): 1, (1, 1): 1, (2, 1): 1}
-    assert pf.support_graph(x).n_components == 1
+    assert _forest_components(2, 2, x.support()) == 1
     assert len(x.entries) == 3
 
 
 def test_greedy_extreme_point_unbalanced():
     with pytest.raises(pf.UnbalancedTotals):
         pf.greedy_extreme_point([2], [1])
-
-
-def test_support_graph_labels():
-    x = pf.Assignment(2, 2, {(1, 1): Fraction(2), (2, 2): Fraction(1)})
-    g = pf.support_graph(x)
-    assert g.n_components == 2
-    assert g.demand_labels == (0, 1)
-    assert g.supply_labels == (0, 1)
-    assert g.is_forest()
 
 
 def test_is_extreme_point_examples():
@@ -228,8 +219,7 @@ def test_greedy_extreme_point_forest_and_divisibility(seed, m, n):
         mu = [v + 1 for v in mu]
         nu[0] += n
     x = pf.greedy_extreme_point(nu, mu)
-    g = pf.support_graph(x)
-    assert g.is_forest()
+    assert _forest_components(m, n, x.support()) is not None
     assert len(x.support()) <= m + n - 1
     gcd = pf.gcd_combined(nu, mu)
     for v in x.entries.values():

@@ -1,6 +1,7 @@
 """Sparsest-graph design: block-count bounds and the constructive algorithm."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from .oracles import (
     exhaustive_erp_search,
     exhaustive_tree_crp_exists,
     is_extreme_point,
+    lex_balanced_cover,
     max_balanced_cover_size,
 )
 
@@ -97,6 +99,41 @@ def test_max_balanced_cover_matches_oracle():
             )
 
 
+def test_max_balanced_cover_parts_match_lexicographic_search():
+    # design output follows the exact parts, not just their count; 350 pairs
+    # each of integer, fractional and mostly-unit (tie-heavy) rates
+    rng = random.Random(29)
+    for k in range(1050):
+        if k % 3 == 0:
+            nu, mu = random_rates(rng, max_side=5, max_rate=6)
+        elif k % 3 == 1:
+            q = rng.randint(2, 5)
+            nu, mu = random_rates(rng, max_side=5, max_rate=9)
+            nu, mu = [Fraction(v, q) for v in nu], [Fraction(v, q) for v in mu]
+        else:
+            nu = [rng.choice((1, 1, 1, 2)) for _ in range(rng.randint(1, 5))]
+            mu = [rng.choice((1, 1, 1, 2)) for _ in range(rng.randint(1, 5))]
+            surplus = sum(nu) - sum(mu)
+            if surplus:
+                (mu if surplus > 0 else nu).append(abs(surplus))
+        assert max_balanced_cover(nu, mu).parts == lex_balanced_cover(nu, mu), (nu, mu)
+
+
+def test_design_at_twenty_vertices_is_fast():
+    # the memo search took 106 s on these rates (Python 3.11, one core)
+    rng = random.Random(20)
+    nu = [rng.randint(1, 9) for _ in range(10)]
+    mu = [rng.randint(1, 9) for _ in range(9)]
+    mu.append(max(1, sum(nu) - sum(mu)))
+    nu[0] += sum(mu) - sum(nu)
+    start = time.perf_counter()
+    top = max_balanced_cover(nu, mu).cardinality
+    for d in (1, top):
+        r = design_flexibility(nu, mu, d)
+        assert r.achieved_erp == d and r.edge_count == min_edges(nu, mu, d)
+    assert time.perf_counter() - start < 20
+
+
 def test_max_balanced_cover_limits():
     with pytest.raises(SizeLimitExceeded):
         max_balanced_cover([1] * 13, [1] * 13)
@@ -114,8 +151,9 @@ def test_min_edges_values():
         min_edges(nu, mu, 5)
     with pytest.raises(ValueError):
         min_edges(nu, mu, 0)
-    with pytest.raises(ValueError):
-        min_edges(nu, mu, 1.5)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError):
+            min_edges(nu, mu, bad)
     # d == d_double_star never pays the +1 cycle edge
     assert min_edges([2, 1], [2, 1], 1) == 3
 
@@ -162,8 +200,9 @@ def test_design_is_deterministic():
 def test_design_errors():
     with pytest.raises(TargetAboveDstarStar):
         design_flexibility([2, 1], [2, 1], 3)
-    with pytest.raises(ValueError):
-        design_flexibility([2, 1], [2, 1], "1")
+    for bad in ("1", True):
+        with pytest.raises(ValueError):
+            design_flexibility([2, 1], [2, 1], bad)
     with pytest.raises(UnbalancedTotals):
         design_flexibility([1, 1], [3], 1)
     with pytest.raises(ZeroVector):

@@ -184,6 +184,9 @@ def test_objective_tables():
         make_objective([[2, 1, 0], [0, 0, 1]], 3, 2)  # decreasing table
     with pytest.raises(ValueError):
         make_objective([[0, 1]], 3, 2)  # wrong shape
+    for inexact in ([[0.1, 0.2]], [[True, 2]]):
+        with pytest.raises(ValueError):
+            make_objective(inexact, 2, 1)
     final = make_objective("final", 4, 3)
     assert final.total((4, 4, 2)) == 2
     assert final.total((4, 4, 4)) == 4
