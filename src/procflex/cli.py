@@ -41,9 +41,11 @@ from .robustness import gap_and_checks
 
 SCHEMA_VERSION = 1
 
-# Most steps (horizon x reps x eps values) one simulate request may ask for:
-# about three minutes of the general MaxWeight path on a 4x4 graph (276k
-# steps/s measured, Python 3.11, one core) and sixteen on the 20-chain (52k
+# Most steps (horizon x reps x eps values) one simulate request may ask for.
+# The compiled MaxWeight step loop runs it in about 8 s on a 4x4 graph (6.7M
+# steps/s measured, Python 3.11, one core) and a minute on the 20-chain (770k
+# steps/s).  The limit stays where the Python loop that replaces the kernel
+# without a C compiler finishes: about three minutes on a 4x4 graph (276k
 # steps/s).  The largest sweep in the test suite (gate 07) fits.
 MAX_SIM_STEPS = 50_000_000
 
@@ -324,7 +326,7 @@ def _perturb_file(path: str) -> list:
 
 def _tables_file(path: str) -> dict:
     doc = _load_json(path)
-    if not isinstance(doc, list):
+    if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise DocumentError(f"{path}: objective tables must be a list of rows")
     try:
         tables = [[format_rational(parse_rational(v)) for v in row] for row in doc]

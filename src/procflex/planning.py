@@ -97,6 +97,8 @@ def make_objective(spec, eta: int, K: int) -> Objective:
         raise ValueError(f"unknown objective {spec!r}; use 'sum', 'final' or tables")
     tables = []
     for row in spec:
+        if not isinstance(row, (list, tuple)):
+            raise TypeError(f"an objective table is a list of entries, not {row!r}")
         vals = tuple(parse_rational(v) for v in row)
         if len(vals) != eta:
             raise ValueError(f"objective table needs {eta} entries, got {len(vals)}")

@@ -11,11 +11,19 @@ should collapse onto the span of the block indicators.
 Randomness is counter-based: every (replication, purpose, queue-or-server)
 triple owns a Philox stream keyed by the seed, and draws are indexed by step,
 so results are bit-reproducible and independent of evaluation order.
+
+Whenever some server can serve more than one queue, the steps of each chunk
+run in a small C loop compiled on first use (`_kernel`); where it cannot be
+built, the same loop runs in Python.  Both give identical results.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -218,101 +226,317 @@ class _RepAccum:
         self.samples += qarr.shape[0]
 
 
-def _arrival_chunk(gens, probs_f, levels, length: int) -> list[np.ndarray]:
-    out = []
-    for g, p, l in zip(gens, probs_f, levels):
-        out.append((g.random(length) < p).astype(np.int64) * l)
+def _arrival_chunk(gens, probs_f, levels, length: int) -> np.ndarray:
+    """One chunk of arrivals as a C-contiguous (length, m) int64 array."""
+    out = np.empty((length, len(gens)), dtype=np.int64)
+    for i, (g, p, l) in enumerate(zip(gens, probs_f, levels)):
+        np.multiply(g.random(length) < p, l, out=out[:, i])
     return out
 
 
-def _run_replication(
-    inst: ProblemInstance,
-    model: ArrivalModel,
-    mu: tuple[int, ...],
-    horizon: int,
-    warmup: int,
-    seed: int,
-    rep: int,
-    comp_cols: list[np.ndarray],
-) -> _RepAccum:
-    m, n = inst.m, inst.n
-    probs_f = [float(p) for p in model.probs]
-    arr_gens = [_stream(seed, rep, _ARRIVAL_STREAM, i) for i in range(m)]
+# One MaxWeight slot per row t: multi-queue server k gives mu[k] to a longest
+# queue among cand[off[k]:off[k+1]], a tie taking tied[(int)(u * count)] for
+# its draw u, exactly as the Python loop below; then q = max(q + a - s, 0).
+# simulate() refuses runs whose queue lengths could leave int64.
+_KERNEL_SOURCE = r"""
+#include <stdint.h>
 
-    # servers with a single compatible queue contribute a constant service
-    base = [0] * m
-    multi: list[tuple[int, list[int], int]] = []
-    for j in range(n):
-        nbrs = inst.supply_adj[j]
-        if not nbrs:
+void maxweight_steps(int64_t length, int64_t m, int64_t k_multi,
+                     const int64_t *arrivals, const double *ties,
+                     const int64_t *base, const int64_t *off,
+                     const int64_t *cand, const int64_t *mu,
+                     int64_t *q, int64_t *s, int64_t *tied, int64_t *qarr)
+{
+    for (int64_t t = 0; t < length; t++) {
+        for (int64_t i = 0; i < m; i++)
+            s[i] = base[i];
+        for (int64_t k = 0; k < k_multi; k++) {
+            int64_t best = -1, count = 0;
+            for (int64_t c = off[k]; c < off[k + 1]; c++) {
+                int64_t qi = q[cand[c]];
+                if (qi > best) {
+                    best = qi;
+                    count = 0;
+                }
+                if (qi == best)
+                    tied[count++] = cand[c];
+            }
+            s[tied[(int64_t)(ties[t * k_multi + k] * (double)count)]] += mu[k];
+        }
+        for (int64_t i = 0; i < m; i++) {
+            int64_t x = q[i] + arrivals[t * m + i] - s[i];
+            q[i] = x > 0 ? x : 0;
+            qarr[t * m + i] = q[i];
+        }
+    }
+}
+"""
+_CC = ("cc", "-O2", "-shared", "-fPIC")
+
+
+def _load(directory: str):
+    """The kernel from ``directory``, compiled there first when absent, or
+    None when it cannot be built or loaded.  The library is named by the
+    hash of its source and compiler command and renamed into place once
+    complete, so a partial build is never loaded."""
+    # imported here: verbs that never simulate do not pay for them at start-up
+    import hashlib
+    import subprocess
+
+    digest = hashlib.sha256(" ".join([*_CC, _KERNEL_SOURCE]).encode()).hexdigest()[:16]
+    target = os.path.join(directory, f"maxweight-{digest}.so")
+    try:
+        if not os.path.exists(target):
+            os.makedirs(directory, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=directory) as tmp:
+                source = os.path.join(tmp, "maxweight.c")
+                with open(source, "w", encoding="ascii") as fh:
+                    fh.write(_KERNEL_SOURCE)
+                built = os.path.join(tmp, "maxweight.so")
+                subprocess.run([*_CC, "-o", built, source], check=True,
+                               capture_output=True, timeout=300)
+                os.replace(built, target)
+        fn = ctypes.CDLL(target).maxweight_steps
+    except (OSError, subprocess.SubprocessError):
+        return None
+    ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
+    floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    fn.argtypes = [ctypes.c_int64] * 3 + [ints, floats, ints, ints, ints, ints] + [out] * 4
+    fn.restype = None
+    return fn
+
+
+@functools.cache
+def _kernel():
+    """The compiled MaxWeight step loop, or None where it cannot be built or
+    loaded (no C compiler, say), in which case the Python loop runs.
+
+    The library is cached in $XDG_CACHE_HOME/procflex (by default
+    ~/.cache/procflex).  When that fails it is built in a private directory
+    of the system temp dir, removed once the library is loaded.
+    """
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    kernel = _load(os.path.join(cache, "procflex")) if os.path.isabs(cache) else None
+    if kernel is None:
+        try:
+            with tempfile.TemporaryDirectory(prefix="procflex-") as tmp:
+                kernel = _load(tmp)
+        except OSError:
+            pass
+    return kernel
+
+
+def _python_steps(arrivals, ties, base, off, cand, mu, q, qarr) -> None:
+    """The kernel's loop over one chunk, for where the kernel is missing."""
+    bounds = off.tolist()
+    servers = list(zip((cand[a:b].tolist() for a, b in zip(bounds, bounds[1:])),
+                       mu.tolist()))
+    base_row = base.tolist()
+    cur = q.tolist()
+    rows = []
+    for a_row, u_row in zip(arrivals.tolist(), ties.tolist()):
+        s = base_row.copy()
+        for (candidates, muk), u in zip(servers, u_row):
+            best = -1
+            tied: list[int] = []
+            for i in candidates:
+                qi = cur[i]
+                if qi > best:
+                    best = qi
+                    tied = [i]
+                elif qi == best:
+                    tied.append(i)
+            s[tied[int(u * len(tied))]] += muk
+        cur = [max(qi + ai - si, 0) for qi, ai, si in zip(cur, a_row, s)]
+        rows.append(cur)
+    qarr[:] = rows
+    q[:] = cur
+
+
+@dataclass(frozen=True)
+class _Campaign:
+    """Checked arguments of one simulate call or heavy-traffic sweep, and
+    what all of its runs share: the blocks and the service side.
+
+    ``base`` is the constant service of servers with one compatible queue;
+    the other servers with positive rate (``servers``, 0-based) are listed in
+    CSR form, server k choosing among ``cand[off[k]:off[k + 1]]`` with rate
+    ``mu[k]``.
+    """
+
+    models: tuple[ArrivalModel, ...]
+    horizon: int
+    warmup: int
+    seed: int
+    replications: int
+    components: tuple[tuple[int, ...], ...]
+    comp_cols: list[np.ndarray]
+    base: np.ndarray
+    servers: tuple[int, ...]
+    off: np.ndarray
+    cand: np.ndarray
+    mu: np.ndarray
+
+
+def _campaign(
+    inst: ProblemInstance, eps_values, horizon, warmup, seed, replications,
+    model: ArrivalModel | None = None, arrival_levels: Sequence[int] | None = None,
+) -> _Campaign:
+    """Check a campaign in simulate's order, then check feasibility and
+    decompose once for all of its eps values."""
+    if max(inst.m, inst.n) >= _MAX_VERTICES:
+        raise SizeLimitExceeded(
+            f"{inst.m} queues and {inst.n} servers; the simulator takes fewer"
+            f" than {_MAX_VERTICES} of each"
+        )
+    for j in range(inst.n):
+        if not inst.supply_adj[j]:
             raise IsolatedServer(f"supply vertex {j + 1} has no edges")
+    models = []
+    for eps in eps_values:
+        e = _check_eps(eps)
+        if model is None:
+            models.append(make_arrival_model(inst, e, arrival_levels))
+        elif model.eps != e:
+            raise ValueError(f"model was built for eps = {model.eps}, not {e}")
+        else:
+            models.append(model)
+    _, mu = _integer_rates(inst)
+    if not is_feasible(inst):
+        raise Infeasible("nominal rates do not fit the graph; the chain would be unstable")
+    if not isinstance(horizon, int) or horizon < 1:
+        raise ValueError("horizon must be a positive integer")
+    if warmup is None:
+        warmup = horizon // 10
+    if not isinstance(warmup, int) or not 0 <= warmup < horizon:
+        raise ValueError("warmup must be an integer in [0, horizon)")
+    if not isinstance(replications, int) or replications < 1:
+        raise ValueError("replications must be a positive integer")
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    # a queue holds at most horizon * level_i and one slot serves at most
+    # sum(mu), which bounds every value of the step loops
+    top = horizon * max(sum(md.levels) for md in models) + sum(mu)
+    if top >= 1 << 63:
+        raise SizeLimitExceeded(
+            f"horizon x sum of arrival levels + sum of service rates is {top};"
+            f" queue lengths must stay below 2^63"
+        )
+
+    decomp = crp_decomposition(inst)
+    # a block without demands holds no queue
+    components = tuple(comp.demands for comp in decomp.components if comp.demands)
+    base = np.zeros(inst.m, dtype=np.int64)
+    servers, off, cand = [], [0], []
+    for j, nbrs in enumerate(inst.supply_adj):
         if len(nbrs) == 1:
             base[nbrs[0] - 1] += mu[j]
         elif mu[j] > 0:
-            multi.append((j, [i - 1 for i in nbrs], mu[j]))
+            servers.append(j)
+            cand += [i - 1 for i in nbrs]
+            off.append(len(cand))
+    return _Campaign(
+        models=tuple(models), horizon=horizon, warmup=warmup, seed=seed,
+        replications=replications, components=components,
+        comp_cols=[np.array([i - 1 for i in comp], dtype=np.intp) for comp in components],
+        base=base, servers=tuple(servers), off=np.array(off, dtype=np.int64),
+        cand=np.array(cand, dtype=np.int64),
+        mu=np.array([mu[j] for j in servers], dtype=np.int64),
+    )
 
-    acc = _RepAccum(m, comp_cols)
-    if not multi:
-        _run_dedicated(model, arr_gens, probs_f, base, horizon, warmup, acc)
+
+def _run_replication(camp: _Campaign, model: ArrivalModel, rep: int) -> _RepAccum:
+    probs_f = [float(p) for p in model.probs]
+    arr_gens = [_stream(camp.seed, rep, _ARRIVAL_STREAM, i) for i in range(len(probs_f))]
+    acc = _RepAccum(len(probs_f), camp.comp_cols)
+    if camp.servers:
+        _run_general(camp, model, arr_gens, probs_f, rep, acc)
     else:
-        _run_general(model, arr_gens, probs_f, base, multi, horizon, warmup, seed, rep, acc)
+        _run_dedicated(camp, model, arr_gens, probs_f, acc)
     return acc
 
 
-def _run_dedicated(model, arr_gens, probs_f, svec, horizon, warmup, acc) -> None:
+def _run_dedicated(camp, model, arr_gens, probs_f, acc) -> None:
     """Every server is dedicated, so each queue follows its own Lindley
     recursion q' = max(q + a - s, 0); whole chunks vectorize."""
-    m = len(svec)
-    q_prev = np.zeros(m, dtype=np.int64)
+    # service above the arrival level keeps a queue at 0 either way; capping
+    # it there bounds the partial sums by horizon * level
+    svec = np.minimum(camp.base, model.levels)
+    q_prev = np.zeros(len(svec), dtype=np.int64)
     done = 0
-    while done < horizon:
-        length = min(_CHUNK, horizon - done)
-        arrivals = _arrival_chunk(arr_gens, probs_f, model.levels, length)
-        qarr = np.empty((length, m), dtype=np.int64)
-        for i in range(m):
-            x = arrivals[i] - svec[i]
-            partial = np.cumsum(x)
-            running_min = np.minimum.accumulate(partial)
-            qarr[:, i] = partial - np.minimum(running_min, -q_prev[i])
+    while done < camp.horizon:
+        length = min(_CHUNK, camp.horizon - done)
+        partial = np.cumsum(_arrival_chunk(arr_gens, probs_f, model.levels, length) - svec,
+                            axis=0)
+        running_min = np.minimum.accumulate(partial, axis=0)
+        qarr = partial - np.minimum(running_min, -q_prev)
         q_prev = qarr[-1].copy()
-        cut = max(0, warmup - done)
-        acc.add(qarr[cut:])
+        acc.add(qarr[max(0, camp.warmup - done):])
         done += length
 
 
-def _run_general(
-    model, arr_gens, probs_f, base, multi, horizon, warmup, seed, rep, acc
-) -> None:
-    m = len(base)
-    tie_gens = {j: _stream(seed, rep, _TIE_STREAM, j) for j, _, _ in multi}
-    q = [0] * m
+def _run_general(camp, model, arr_gens, probs_f, rep, acc) -> None:
+    """MaxWeight steps, one kernel call (or Python loop) per chunk."""
+    m = len(camp.base)
+    tie_gens = [_stream(camp.seed, rep, _TIE_STREAM, j) for j in camp.servers]
+    kernel = _kernel()
+    q = np.zeros(m, dtype=np.int64)
+    s = np.empty(m, dtype=np.int64)
+    tied = np.empty(len(camp.cand), dtype=np.int64)
     done = 0
-    while done < horizon:
-        length = min(_CHUNK, horizon - done)
+    while done < camp.horizon:
+        length = min(_CHUNK, camp.horizon - done)
         arrivals = _arrival_chunk(arr_gens, probs_f, model.levels, length)
-        ties = {j: tie_gens[j].random(length) for j, _, _ in multi}
+        ties = np.empty((length, len(tie_gens)))
+        for k, g in enumerate(tie_gens):
+            ties[:, k] = g.random(length)
         qarr = np.empty((length, m), dtype=np.int64)
-        for t in range(length):
-            s = base.copy()
-            for j, cand, muj in multi:
-                best = -1
-                tied: list[int] = []
-                for i0 in cand:
-                    qi = q[i0]
-                    if qi > best:
-                        best = qi
-                        tied = [i0]
-                    elif qi == best:
-                        tied.append(i0)
-                pick = tied[0] if len(tied) == 1 else tied[int(ties[j][t] * len(tied))]
-                s[pick] += muj
-            for i0 in range(m):
-                x = q[i0] + int(arrivals[i0][t]) - s[i0]
-                q[i0] = x if x > 0 else 0
-            qarr[t] = q
-        cut = max(0, warmup - done)
-        acc.add(qarr[cut:])
+        if kernel is None:
+            _python_steps(arrivals, ties, camp.base, camp.off, camp.cand, camp.mu, q, qarr)
+        else:
+            kernel(length, m, len(tie_gens), arrivals, ties, camp.base, camp.off,
+                   camp.cand, camp.mu, q, s, tied, qarr)
+        acc.add(qarr[max(0, camp.warmup - done):])
         done += length
+
+
+def _stats(camp: _Campaign, model: ArrivalModel) -> SimStats:
+    """Run every replication at one eps value and pool them."""
+    m = len(camp.base)
+    rep_q_means = []
+    rep_perp = []
+    rep_norm = []
+    samples = camp.horizon - camp.warmup
+    for rep in range(camp.replications):
+        acc = _run_replication(camp, model, rep)
+        if acc.samples != samples:
+            raise InvariantViolation(
+                f"replication {rep} kept {acc.samples} samples, expected {samples}"
+            )
+        rep_q_means.append(tuple(float(v) for v in acc.sum_q / samples))
+        rep_perp.append(acc.sum_perp / samples)
+        rep_norm.append(acc.sum_norm / samples)
+
+    pooled_q = tuple(
+        float(np.mean([r[i] for r in rep_q_means])) for i in range(m)
+    )
+    return SimStats(
+        eps=model.eps,
+        horizon=camp.horizon,
+        warmup=camp.warmup,
+        seed=camp.seed,
+        replications=camp.replications,
+        model=model,
+        components=camp.components,
+        queue_means=pooled_q,
+        rep_queue_means=tuple(rep_q_means),
+        perp_norm_mean=float(np.mean(rep_perp)),
+        norm_mean=float(np.mean(rep_norm)),
+        rep_perp_norm_means=tuple(rep_perp),
+        rep_norm_means=tuple(rep_norm),
+        samples_per_rep=samples,
+    )
 
 
 def simulate(
@@ -331,73 +555,12 @@ def simulate(
     ``warmup`` defaults to 10% of the horizon.  Replications use disjoint
     Philox streams derived from (seed, replication), so adding replications
     never perturbs earlier ones; pooling weighs replications equally.
-    Refuses 2^20 or more queues or servers, past what the stream keys hold.
+    Refuses 2^20 or more queues or servers, past what the stream keys hold,
+    and runs whose queue lengths could reach 2^63: horizon x sum of arrival
+    levels + sum of service rates must stay below it.
     """
-    if max(inst.m, inst.n) >= _MAX_VERTICES:
-        raise SizeLimitExceeded(
-            f"{inst.m} queues and {inst.n} servers; the simulator takes fewer"
-            f" than {_MAX_VERTICES} of each"
-        )
-    for j in range(inst.n):
-        if not inst.supply_adj[j]:
-            raise IsolatedServer(f"supply vertex {j + 1} has no edges")
-    e = _check_eps(eps)
-    if model is None:
-        model = make_arrival_model(inst, e, arrival_levels)
-    elif model.eps != e:
-        raise ValueError(f"model was built for eps = {model.eps}, not {e}")
-    _, mu = _integer_rates(inst)
-    if not is_feasible(inst):
-        raise Infeasible("nominal rates do not fit the graph; the chain would be unstable")
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValueError("horizon must be a positive integer")
-    if warmup is None:
-        warmup = horizon // 10
-    if not isinstance(warmup, int) or not 0 <= warmup < horizon:
-        raise ValueError("warmup must be an integer in [0, horizon)")
-    if not isinstance(replications, int) or replications < 1:
-        raise ValueError("replications must be a positive integer")
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-
-    decomp = crp_decomposition(inst)
-    # a block without demands holds no queue
-    components = tuple(comp.demands for comp in decomp.components if comp.demands)
-    comp_cols = [np.array([i - 1 for i in comp], dtype=np.intp) for comp in components]
-
-    rep_q_means = []
-    rep_perp = []
-    rep_norm = []
-    samples = horizon - warmup
-    for rep in range(replications):
-        acc = _run_replication(inst, model, mu, horizon, warmup, seed, rep, comp_cols)
-        if acc.samples != samples:
-            raise InvariantViolation(
-                f"replication {rep} kept {acc.samples} samples, expected {samples}"
-            )
-        rep_q_means.append(tuple(float(v) for v in acc.sum_q / samples))
-        rep_perp.append(acc.sum_perp / samples)
-        rep_norm.append(acc.sum_norm / samples)
-
-    pooled_q = tuple(
-        float(np.mean([r[i] for r in rep_q_means])) for i in range(inst.m)
-    )
-    return SimStats(
-        eps=e,
-        horizon=horizon,
-        warmup=warmup,
-        seed=seed,
-        replications=replications,
-        model=model,
-        components=components,
-        queue_means=pooled_q,
-        rep_queue_means=tuple(rep_q_means),
-        perp_norm_mean=float(np.mean(rep_perp)),
-        norm_mean=float(np.mean(rep_norm)),
-        rep_perp_norm_means=tuple(rep_perp),
-        rep_norm_means=tuple(rep_norm),
-        samples_per_rep=samples,
-    )
+    camp = _campaign(inst, [eps], horizon, warmup, seed, replications, model, arrival_levels)
+    return _stats(camp, camp.models[0])
 
 
 @dataclass(frozen=True)
@@ -482,26 +645,19 @@ def heavy_traffic_check(
         raise ValueError("need at least one eps value")
     eps_vals = sorted({_check_eps(e) for e in eps_list}, reverse=True)
     nu, _ = _integer_rates(inst)
+    camp = _campaign(
+        inst, eps_vals, horizon, warmup, seed, replications, arrival_levels=arrival_levels
+    )
+    components = camp.components
+    limit_var = camp.models[0].limit_variances
+    rhs = Fraction(0)
+    for comp in components:
+        rhs += Fraction(sum(limit_var[i - 1] for i in comp), 2 * len(comp))
 
     rows = []
-    components = None
-    rhs = None
-    for e in eps_vals:
-        stats = simulate(
-            inst,
-            e,
-            horizon=horizon,
-            warmup=warmup,
-            seed=seed,
-            replications=replications,
-            arrival_levels=arrival_levels,
-        )
-        if components is None:
-            components = stats.components
-            limit_var = stats.model.limit_variances
-            rhs = Fraction(0)
-            for comp in components:
-                rhs += Fraction(sum(limit_var[i - 1] for i in comp), 2 * len(comp))
+    for model in camp.models:
+        e = model.eps
+        stats = _stats(camp, model)
         lhs = _lhs_value(e, nu, components, stats.queue_means)
         rep_lhs = [_lhs_value(e, nu, components, qm) for qm in stats.rep_queue_means]
         rep_ssc = [
@@ -522,4 +678,3 @@ def heavy_traffic_check(
             )
         )
     return HeavyTrafficReport(tuple(rows), rhs, components)
-

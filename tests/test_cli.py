@@ -224,9 +224,11 @@ def test_plan_verb(files, capsys, tmp_path):
     assert doc["result"]["value"] == "1"
 
     bad = tmp_path / "bad_tables.json"
-    bad.write_text(json.dumps({"rows": []}))
-    assert run(capsys, "plan", "--eta", "2", "--budget", "3",
-               "--objective", f"file:{bad}")[0] == 2
+    for doc in ({"rows": []}, ["012", "013"], [[0, 1, 2], "013"]):
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "plan", "--eta", "3", "--budget", "2",
+                             "--objective", f"file:{bad}")
+        assert code == 2 and out == "" and json.loads(err)["error"] == "DocumentError"
     assert run(capsys, "plan", "--eta", "2", "--budget", "3",
                "--objective", "median")[0] == 2
     assert run(capsys, "plan", "--eta", "0", "--budget", "3")[0] == 1
@@ -255,6 +257,11 @@ def test_simulate_csv_and_json(files, capsys):
                "--horizon", "lots")[0] == 2
     assert run(capsys, "simulate", files["two"], "--eps", "0.1",
                "--horizon", "2.5")[0] == 2
+    # a queue could pass 2^63 before the run ends: refused before any draw
+    code, out, err = run(capsys, "simulate", files["two"], "--eps", "0.1",
+                         "--horizon", "1000", "--levels", "100000000000000000000,3")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "SizeLimitExceeded"
 
 
 def test_verify_accepts_fresh_documents(files, capsys, tmp_path):

@@ -187,6 +187,11 @@ def test_objective_tables():
     for inexact in ([[0.1, 0.2]], [[True, 2]]):
         with pytest.raises(ValueError):
             make_objective(inexact, 2, 1)
+    # a row is a sequence of entries, never a string read as its characters
+    for rows in (["012", "013"], [[0, 1, 2], "013"], [[0, 1, 2], 5]):
+        with pytest.raises(TypeError):
+            make_objective(rows, 3, 2)
+    assert make_objective(((0, 1, 2), (0, 1, 3)), 3, 2).tables == ((0, 1, 2), (0, 1, 3))
     final = make_objective("final", 4, 3)
     assert final.total((4, 4, 2)) == 2
     assert final.total((4, 4, 4)) == 4

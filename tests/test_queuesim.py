@@ -4,6 +4,8 @@ estimates and state-space-collapse diagnostics."""
 import json
 import math
 import random
+import shutil
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -83,7 +85,9 @@ def reference_sim(inst, eps, horizon, warmup, seed, rep, levels=None):
         for j in range(n)
         if len(inst.supply_adj[j]) > 1 and mu[j] > 0
     }
-    comps = [[i - 1 for i in c.demands] for c in crp_decomposition(inst).components]
+    comps = [
+        [i - 1 for i in c.demands] for c in crp_decomposition(inst).components if c.demands
+    ]
     q = [0] * m
     sums = [0.0] * m
     norm = perp = 0.0
@@ -219,6 +223,29 @@ def test_simulate_error_taxonomy():
         simulate(one, "0.2", horizon=100, model=model)
 
 
+def test_simulate_refuses_queue_lengths_past_int64():
+    one = make_instance([1], [1], [(1, 1)])
+    # horizon * sum(levels) + sum(mu) must stay below 2^63
+    assert simulate(one, "0.1", horizon=1, arrival_levels=[2**63 - 2]).horizon == 1
+    with pytest.raises(SizeLimitExceeded):
+        simulate(one, "0.1", horizon=1, arrival_levels=[2**63 - 1])
+    with pytest.raises(SizeLimitExceeded):
+        heavy_traffic_check(one, ["0.1"], horizon=10, arrival_levels=[10**20])
+    huge = make_instance([5 * 10**18], [5 * 10**18], [(1, 1)])
+    with pytest.raises(SizeLimitExceeded):
+        simulate(huge, "0.1", horizon=1)
+
+
+def test_dedicated_service_far_above_the_level_keeps_queues_empty():
+    # 10^15 service per slot against arrivals of at most 10: every queue stays
+    # 0, and the per-chunk partial sums of a - s must not wrap around int64
+    rate = 10**15
+    inst = make_instance([rate], [rate], [(1, 1)])
+    stats = simulate(inst, 1 - Fraction(1, rate), horizon=40_000, seed=1,
+                     arrival_levels=[10])
+    assert stats.queue_means == (0.0,)
+
+
 def test_simulate_refuses_indices_past_the_stream_keys():
     # the key (rep << 24) | (kind << 20) | index holds 20 bits of index;
     # the refusal comes before any rate, edge or stream is looked at
@@ -228,7 +255,31 @@ def test_simulate_refuses_indices_past_the_stream_keys():
             simulate(ProblemInstance(m, n, (), (), frozenset()), "0.1", horizon=10)
 
 
-def test_simulate_matches_stepwise_reference():
+def step_loops(monkeypatch):
+    """Select the compiled step kernel, then the Python loop that replaces it
+    where no C compiler is found; yields each loop's name."""
+    for name, kernel in (("compiled", queuesim._kernel()), ("python", None)):
+        monkeypatch.setattr(queuesim, "_kernel", lambda: kernel)
+        yield name
+
+
+def long_chain(k):
+    return make_instance([1] * k, [1] * k, [(i, i) for i in range(1, k + 1)]
+                         + [(i, i % k + 1) for i in range(1, k + 1)])
+
+
+def assert_matches_reference(stats, inst, horizon, warmup, seed, levels=None):
+    for rep in range(stats.replications):
+        means, perp, norm = reference_sim(
+            inst, stats.eps, horizon, warmup, seed, rep, levels
+        )
+        # integer queue sums are exact; the norms are summed in another order
+        assert stats.rep_queue_means[rep] == tuple(means)
+        assert stats.rep_perp_norm_means[rep] == pytest.approx(perp, abs=1e-9)
+        assert stats.rep_norm_means[rep] == pytest.approx(norm, abs=1e-9)
+
+
+def test_simulate_matches_stepwise_reference(monkeypatch):
     cases = [
         (four_pair_graph(), 700, 100, None),
         (diagonal_instance(3), 900, 0, None),
@@ -247,27 +298,73 @@ def test_simulate_matches_stepwise_reference():
             None,
         ),
         (make_instance([1], [1], [(1, 1)]), 1000, 100, [3]),
+        # unit complete bipartite graph: most slots break a tie
+        (make_instance([1] * 3, [1] * 3, [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]),
+         600, 50, None),
+        (long_chain(20), 400, 40, None),
+        # server 3 has rate 0 and two queues, so it never serves
+        (make_instance([1, 1], [1, 1, 0], [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]),
+         700, 70, None),
     ]
-    for inst, horizon, warmup, levels in cases:
-        stats = simulate(
-            inst, "0.1", horizon=horizon, warmup=warmup, seed=13,
-            replications=2, arrival_levels=levels,
-        )
-        for rep in range(2):
-            means, perp, norm = reference_sim(inst, "0.1", horizon, warmup, 13, rep, levels)
-            assert stats.rep_queue_means[rep] == pytest.approx(means, abs=1e-9)
-            assert stats.rep_perp_norm_means[rep] == pytest.approx(perp, abs=1e-9)
-            assert stats.rep_norm_means[rep] == pytest.approx(norm, abs=1e-9)
+    for _loop in step_loops(monkeypatch):
+        for inst, horizon, warmup, levels in cases:
+            stats = simulate(
+                inst, "0.1", horizon=horizon, warmup=warmup, seed=13,
+                replications=2, arrival_levels=levels,
+            )
+            assert_matches_reference(stats, inst, horizon, warmup, 13, levels)
 
 
-def test_simulate_crosses_chunk_boundaries():
+def test_simulate_crosses_chunk_boundaries(monkeypatch):
     # horizons beyond one chunk exercise the carried queue state on both paths
-    for inst, horizon in ((diagonal_instance(2), 40_000), (four_pair_graph(), 70_000)):
-        stats = simulate(inst, "0.1", horizon=horizon, warmup=horizon // 10, seed=5)
-        means, perp, norm = reference_sim(inst, "0.1", horizon, horizon // 10, 5, 0)
-        assert stats.rep_queue_means[0] == pytest.approx(means, rel=1e-9)
-        assert stats.rep_perp_norm_means[0] == pytest.approx(perp, rel=1e-9)
-        assert stats.rep_norm_means[0] == pytest.approx(norm, rel=1e-9)
+    assert queuesim._CHUNK < 40_000
+    for _loop in step_loops(monkeypatch):
+        for inst in (diagonal_instance(2), four_pair_graph()):
+            stats = simulate(inst, "0.1", horizon=40_000, warmup=4000, seed=5)
+            assert_matches_reference(stats, inst, 40_000, 4000, 5)
+
+
+def test_step_loops_agree_across_chunks(monkeypatch):
+    crp = design_flexibility([1] * 4, [1] * 4, 1).instance()
+    runs = [simulate(crp, "0.05", horizon=70_000, seed=6, replications=2)
+            for _loop in step_loops(monkeypatch)]
+    assert runs[0] == runs[1]
+
+
+def test_kernel_builds_wherever_cc_is_found(monkeypatch, tmp_path):
+    # a build that fails silently would leave every run on the Python loop
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    queuesim._kernel.cache_clear()
+    try:
+        assert queuesim._kernel() is not None
+        assert [p.suffix for p in (tmp_path / "procflex").iterdir()] == [".so"]
+    finally:
+        queuesim._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("failure", ["no compiler", "cache unwritable", "no writable dir"])
+def test_failed_kernel_build_falls_back(failure, monkeypatch, tmp_path):
+    inst = four_pair_graph()
+    expected = simulate(inst, "0.1", horizon=3000, seed=8, replications=2)
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    if failure == "no compiler":
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(queuesim, "_CC", ("procflex-missing-cc",))
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+    if failure == "no writable dir":
+        monkeypatch.setattr(tempfile, "tempdir", str(blocker))
+    queuesim._kernel.cache_clear()
+    try:
+        # only an unwritable cache leaves the temp dir to build in
+        built = failure == "cache unwritable" and shutil.which("cc") is not None
+        assert (queuesim._kernel() is not None) == built
+        assert simulate(inst, "0.1", horizon=3000, seed=8, replications=2) == expected
+    finally:
+        queuesim._kernel.cache_clear()
 
 
 def test_simulate_deterministic_and_extendable():
