@@ -249,6 +249,59 @@ def best_sequences_by_trajectory(inst: ProblemInstance, K: int, objective):
     return best
 
 
+def dp_plan_reference(eta: int, K: int, obj):
+    """Exact optimum over all valid close vectors (including the empty one).
+
+    The planning DP as first written: dict states and inner loops that add
+    the table entries one step at a time.  `planning._dp_plan` must return
+    the same (value, close vector), value type and str included.
+
+    State (l, s): l closes so far, the last at step s (state (0, 0) before
+    any).  The block count in force after state (l, s) is constant until the
+    next close, so per-step costs accumulate in closed form.
+    """
+
+    def in_force(l: int, s: int) -> int:
+        return eta if l == 0 else max(eta - s + l, 1)
+
+    best: dict[tuple[int, int], object] = {(0, 0): 0}
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    l = 0
+    while True:
+        level = sorted(s for (ll, s) in best if ll == l)
+        if not level:
+            break
+        for s in level:
+            v_now = in_force(l, s)
+            run = best[(l, s)]
+            # cost of waiting at v_now through step t-1, then closing at t
+            for t in range(s + 2, min(eta + l, K) + 1):
+                cost = run
+                for step in range(s + 1, t):
+                    cost = cost + obj.value_at(step, v_now)
+                cost = cost + obj.value_at(t, in_force(l + 1, t))
+                key = (l + 1, t)
+                if key not in best or cost < best[key]:
+                    best[key] = cost
+                    parent[key] = (l, s)
+        l += 1
+    # tie-break: fewest closes, then earliest last close
+    answer = None
+    for (l, s) in sorted(best):
+        total = best[(l, s)]
+        v_now = in_force(l, s)
+        for step in range(s + 1, K + 1):
+            total = total + obj.value_at(step, v_now)
+        if answer is None or total < answer[0]:
+            answer = (total, (l, s))
+    value, state = answer
+    k_rev = []
+    while state != (0, 0):
+        k_rev.append(state[1])
+        state = parent[state]
+    return value, tuple(reversed(k_rev))
+
+
 def max_balanced_cover_size(demand, supply) -> int:
     """Maximum number of balanced blocks any demand/supply partition allows,
     by plain recursion over index sets (no masks, no memo tricks)."""

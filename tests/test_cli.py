@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from procflex import cli, validate_instance
 from procflex.cli import main
 from procflex.design import MAX_COVER_SIZE
+from procflex.planning import MAX_PLAN_TABLE_BITS
 
 
 THREE_BLOCK = {
@@ -234,6 +235,23 @@ def test_plan_verb(files, capsys, tmp_path):
     assert run(capsys, "plan", "--eta", "0", "--budget", "3")[0] == 1
     code, _, err = run(capsys, "plan", "--eta", "1000000000000", "--budget", "3")
     assert code == 1 and json.loads(err)["error"] == "SizeLimitExceeded"
+
+
+def test_plan_at_the_size_cap(capsys, tmp_path):
+    # plan_schedule checks the single-close witness against the DP for "final";
+    # both optima equal tests/oracles.dp_plan_reference at this size
+    for objective, value in (("final", "1"), ("sum", "22389")):
+        code, out, _ = run(capsys, "plan", "--eta", "200", "--budget", "200",
+                           "--objective", objective)
+        assert code == 0, objective
+        assert envelope(out)["result"]["value"] == value
+    # one 6800-bit denominator scales all 200 x 200 entries past the table limit
+    assert 200 * 200 * (3**4300).bit_length() > MAX_PLAN_TABLE_BITS
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps([["0"] * 199 + [f"1/{3**4300}"]] * 200))
+    code, out, err = run(capsys, "plan", "--eta", "200", "--budget", "200",
+                         "--objective", f"file:{tables}")
+    assert code == 1 and out == "" and json.loads(err)["error"] == "SizeLimitExceeded"
 
 
 def test_simulate_csv_and_json(files, capsys):

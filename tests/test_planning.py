@@ -1,7 +1,9 @@
 """Structured schedules, the planning DP, and greedy-vs-optimal comparisons."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -22,10 +24,13 @@ from procflex import (
     structured_schedule,
 )
 
-from procflex import core
+from procflex import core, planning
+from procflex.planning import Objective, _dp_plan
+
+from bench.workloads import PLAN_SIZES
 
 from .conftest import random_feasible_instance, random_instance_with_zero_rates
-from .oracles import best_sequences_by_trajectory
+from .oracles import best_sequences_by_trajectory, dp_plan_reference
 
 
 def diagonal(eta):
@@ -147,6 +152,17 @@ def test_plan_sum_nine_blocks():
     assert cf.matches_dp is False
 
 
+def test_sum_closed_form_pins():
+    # floor(i*g) lands on a whole number in these, where an off-by-one floor shows
+    for eta, K, p, k, score, value in (
+        (4, 3, 1, (2,), 7, 10),
+        (4, 9, 2, (3, 5), 13, 17),
+        (60, 60, 9, (10, 20, 28, 36, 42, 48, 52, 56, 58), 820, 2161),
+    ):
+        cf = plan_schedule(eta, K, "sum").closed_form
+        assert (cf.p, cf.k, cf.formula_score, cf.value) == (p, k, score, value), (eta, K)
+
+
 def test_plan_final_nine_blocks():
     rep = plan_schedule(9, 11, "final")
     assert rep.schedule.cycle_steps == (9,)
@@ -174,6 +190,19 @@ def test_plan_validates_arguments():
         with pytest.raises(SizeLimitExceeded):
             plan_schedule(eta, K, "sum")
     assert plan_schedule(200, 2, "sum").trajectory == (200, 199)
+
+
+def test_counts_reject_bools():
+    # bool is an int subclass; True would come back out as eta == True
+    for eta, K in ((True, 3), (3, True), (False, 3)):
+        with pytest.raises(ValueError):
+            plan_schedule(eta, K, "sum")
+        with pytest.raises(ValueError):
+            structured_schedule(eta, K)
+    with pytest.raises(ValueError):
+        greedy_vs_optimal_report(diagonal(3), True)
+    with pytest.raises(ValueError):
+        greedy_vs_optimal_report(diagonal(3), False)
 
 
 def test_objective_tables():
@@ -351,3 +380,78 @@ def test_edge_what_ifs_solve_one_max_flow(monkeypatch, four_pair_instance):
     assert flows(erp_trajectory, four_pair_instance, [(2, 3), (4, 1), (3, 1)]) == 1
     assert flows(fillers.realize, diagonal(3)) == 1
     assert flows(best_single_edge, four_pair_instance) == 1
+
+
+def _primes(count):
+    out = []
+    n = 2
+    while len(out) < count:
+        if all(n % p for p in out if p * p <= n):
+            out.append(n)
+        n += 1
+    return out
+
+
+_PRIMES = _primes(25 * 25)
+
+
+def _random_objective(rng, kind, eta, K):
+    """An objective of the given kind; table rows are sorted random entries."""
+    if kind in ("sum", "final"):
+        return make_objective(kind, eta, K)
+    if kind == "coprime":
+        # every entry has its own prime denominator: the lcm is their product
+        dens = iter(rng.sample(_PRIMES, eta * K))
+        rows = [sorted(Fraction(rng.randint(1, 4 * eta * d), d) for d in itertools.islice(dens, eta))
+                for _ in range(K)]
+        return make_objective(rows, eta, K)
+    if kind == "fraction":
+        rows = [sorted(Fraction(rng.randint(-2, 4 * eta), rng.randint(1, 6)) for _ in range(eta))
+                for _ in range(K)]
+        return make_objective(rows, eta, K)
+    rows = [sorted(rng.randint(-2, 2 * eta) for _ in range(eta)) for _ in range(K)]
+    if kind == "whole_fraction":
+        # whole numbers read as Fractions: the optimum is a Fraction printed as an integer
+        return make_objective(rows, eta, K)
+    if kind == "mixed":
+        # the value is an int exactly when the optimal trajectory meets no Fraction
+        rows = [[v + Fraction(1, 2) if v % 3 == 0 else v for v in row] for row in rows]
+    # int and mixed tables bypass make_objective, which reads every entry as a Fraction
+    return Objective("tables", eta, tuple(tuple(row) for row in rows))
+
+
+def test_dp_matches_reference_dp():
+    rng = random.Random(20261019)
+    kinds = ("sum", "final", "int", "fraction", "coprime", "whole_fraction", "mixed")
+    for case in range(360):
+        kind = kinds[case % len(kinds)]
+        eta, K = rng.randint(1, 25), rng.randint(1, 25)
+        obj = _random_objective(rng, kind, eta, K)
+        got, want = _dp_plan(eta, K, obj), dp_plan_reference(eta, K, obj)
+        assert got == want, (kind, eta, K)
+        assert type(got[0]) is type(want[0]), (kind, eta, K)
+        assert str(got[0]) == str(want[0]), (kind, eta, K)
+    assert _dp_plan(3, 0, make_objective("sum", 3, 0)) == (0, ())
+
+
+def test_dp_ties_keep_the_fewest_closes():
+    # closing at step 2 ties the empty vector at 3: the empty one wins, and the
+    # Fraction optimum still prints as a whole number
+    obj = make_objective([["1/2", "3/2"], ["3/2", "3/2"]], 2, 2)
+    value, k = _dp_plan(2, 2, obj)
+    assert (value, k) == dp_plan_reference(2, 2, obj) == (3, ())
+    assert type(value) is Fraction and str(value) == "3"
+
+
+def test_plan_reports_match_the_reference_dp_on_bench_shapes(monkeypatch):
+    rng = random.Random(7)
+    cases = []
+    for eta, K, kind in PLAN_SIZES:
+        spec = kind
+        if kind == "tables":
+            spec = [[str(v) for v in sorted(Fraction(rng.randint(0, 4 * eta), rng.randint(1, 3))
+                                            for _ in range(eta))] for _ in range(K)]
+        cases.append((eta, K, spec))
+    fast = [plan_schedule(*case).to_dict() for case in cases]
+    monkeypatch.setattr(planning, "_dp_plan", dp_plan_reference)
+    assert fast == [plan_schedule(*case).to_dict() for case in cases]
