@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ProblemInstance
+from .core import ProblemInstance, _edge_pair
 from .decomposition import CrpDecomposition, crp_decomposition
 from .errors import AlreadyCrp, IndexOutOfRange, InvariantViolation
 
@@ -53,7 +53,7 @@ def _effect(dec: CrpDecomposition, edge: tuple[int, int]) -> EdgeEffect:
 
 def add_edge_effect(inst: ProblemInstance, edge: tuple[int, int]) -> EdgeEffect:
     """Effect of adding the absent edge (i, j), without touching the instance."""
-    i, j = int(edge[0]), int(edge[1])
+    i, j = _edge_pair(edge)
     if not (1 <= i <= inst.m and 1 <= j <= inst.n):
         # before the max flow, which an edge out of range need not wait for
         raise IndexOutOfRange(f"edge ({i},{j}) outside [1,{inst.m}]x[1,{inst.n}]")

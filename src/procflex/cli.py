@@ -46,7 +46,10 @@ SCHEMA_VERSION = 1
 # steps/s measured, Python 3.11, one core) and a minute on the 20-chain (770k
 # steps/s).  The limit stays where the Python loop that replaces the kernel
 # without a C compiler finishes: about three minutes on a 4x4 graph (276k
-# steps/s).  The largest sweep in the test suite (gate 07) fits.
+# steps/s).  Graphs whose servers each serve one queue run that loop too:
+# 230k steps/s on the 4x4 diagonal, against 200k on the four-pair graph in
+# the same run (Python 3.11, 2 vCPUs).  The largest sweep in the test suite
+# (gate 07) fits.
 MAX_SIM_STEPS = 50_000_000
 
 

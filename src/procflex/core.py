@@ -125,7 +125,7 @@ class ProblemInstance:
         return ProblemInstance(self.m, self.n, self.demand, self.supply, sub)
 
     def with_edge(self, edge: tuple[int, int]) -> "ProblemInstance":
-        i, j = edge
+        i, j = _edge_pair(edge)
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise EdgeOutOfRange(f"edge {edge} outside [1,{self.m}]x[1,{self.n}]")
         return ProblemInstance(
@@ -147,6 +147,15 @@ def _is_int(value) -> bool:
     if type(value) is int:
         return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _edge_pair(edge) -> tuple[int, int]:
+    """The indices (i, j) of ``edge`` as ints; ValueError unless both are
+    integers, so 1.5 is neither truncated nor let through."""
+    i, j = edge
+    if not (_is_int(i) and _is_int(j)):
+        raise ValueError(f"edge indices must be integers: {edge!r}")
+    return int(i), int(j)
 
 
 def validate_instance(raw: Mapping) -> ProblemInstance:
@@ -197,9 +206,7 @@ def make_instance(
     for e in edges:
         if len(e) != 2:
             raise ValueError(f"bad edge entry: {e!r}")
-        if not (_is_int(e[0]) and _is_int(e[1])):
-            raise ValueError(f"edge indices must be integers: {e!r}")
-        edge_list.append((int(e[0]), int(e[1])))
+        edge_list.append(_edge_pair(e))
     seen = set()
     for e in edge_list:
         i, j = e

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import Assignment, ProblemInstance, find_feasible_point
+from .core import Assignment, ProblemInstance, _edge_pair, find_feasible_point
 from .errors import EdgeAlreadyPresent, IndexOutOfRange
 
 __all__ = [
@@ -193,7 +193,7 @@ class CrpDecomposition:
         l2 to l1.  The set is {l1} when l1 == l2 and empty when no such path
         exists; either way no two blocks merge.
         """
-        i, j = edge
+        i, j = _edge_pair(edge)
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise IndexOutOfRange(f"edge ({i},{j}) outside [1,{self.m}]x[1,{self.n}]")
         if (i, j) in self.edges:
@@ -210,7 +210,7 @@ class CrpDecomposition:
         their labels since that block holds their lowest vertex; the other
         labels close up behind it.
         """
-        i, j = int(edge[0]), int(edge[1])
+        i, j = _edge_pair(edge)
         merged = self.merged_by((i, j))
         low = min(merged, default=0)
         kept = [l for l in range(1, self.erp_number + 1) if l == low or l not in merged]

@@ -12,9 +12,9 @@ Randomness is counter-based: every (replication, purpose, queue-or-server)
 triple owns a Philox stream keyed by the seed, and draws are indexed by step,
 so results are bit-reproducible and independent of evaluation order.
 
-Whenever some server can serve more than one queue, the steps of each chunk
-run in a small C loop compiled on first use (`_kernel`); where it cannot be
-built, the same loop runs in Python.  Both give identical results.
+Every campaign runs its steps chunk by chunk in a small C loop compiled on
+first use (`_kernel`); where it cannot be built, the same loop runs in
+Python.  Both give identical results.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ProblemInstance, is_feasible, parse_rational
+from .core import ProblemInstance, parse_rational
 from .decomposition import crp_decomposition
 from .errors import (
     Infeasible,
@@ -196,8 +196,8 @@ def _stream(seed: int, rep: int, kind: int, index: int) -> np.random.Generator:
 
 
 class _RepAccum:
-    """Chunk-wise accumulator shared by both simulation paths, so their
-    floating-point results agree bit for bit."""
+    """Post-warmup sums of one replication, added chunk by chunk, so both
+    step loops give the same floating-point results bit for bit."""
 
     def __init__(self, m: int, comp_cols: list[np.ndarray]):
         self.sum_q = np.zeros(m)
@@ -381,10 +381,10 @@ class _Campaign:
 
 def _campaign(
     inst: ProblemInstance, eps_values, horizon, warmup, seed, replications,
-    model: ArrivalModel | None = None, arrival_levels: Sequence[int] | None = None,
+    arrival_levels: Sequence[int] | None = None,
 ) -> _Campaign:
-    """Check a campaign in simulate's order, then check feasibility and
-    decompose once for all of its eps values."""
+    """Check a campaign in simulate's order; the decomposition that checks
+    feasibility serves all of its eps values."""
     if max(inst.m, inst.n) >= _MAX_VERTICES:
         raise SizeLimitExceeded(
             f"{inst.m} queues and {inst.n} servers; the simulator takes fewer"
@@ -393,27 +393,23 @@ def _campaign(
     for j in range(inst.n):
         if not inst.supply_adj[j]:
             raise IsolatedServer(f"supply vertex {j + 1} has no edges")
-    models = []
-    for eps in eps_values:
-        e = _check_eps(eps)
-        if model is None:
-            models.append(make_arrival_model(inst, e, arrival_levels))
-        elif model.eps != e:
-            raise ValueError(f"model was built for eps = {model.eps}, not {e}")
-        else:
-            models.append(model)
+    models = [make_arrival_model(inst, eps, arrival_levels) for eps in eps_values]
     _, mu = _integer_rates(inst)
-    if not is_feasible(inst):
-        raise Infeasible("nominal rates do not fit the graph; the chain would be unstable")
-    if not isinstance(horizon, int) or horizon < 1:
+    try:
+        decomp = crp_decomposition(inst)
+    except Infeasible:
+        raise Infeasible(
+            "nominal rates do not fit the graph; the chain would be unstable"
+        ) from None
+    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise ValueError("horizon must be a positive integer")
     if warmup is None:
         warmup = horizon // 10
-    if not isinstance(warmup, int) or not 0 <= warmup < horizon:
+    if not isinstance(warmup, int) or isinstance(warmup, bool) or not 0 <= warmup < horizon:
         raise ValueError("warmup must be an integer in [0, horizon)")
-    if not isinstance(replications, int) or replications < 1:
+    if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
         raise ValueError("replications must be a positive integer")
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     # a queue holds at most horizon * level_i and one slot serves at most
     # sum(mu), which bounds every value of the step loops
@@ -424,7 +420,6 @@ def _campaign(
             f" queue lengths must stay below 2^63"
         )
 
-    decomp = crp_decomposition(inst)
     # a block without demands holds no queue
     components = tuple(comp.demands for comp in decomp.components if comp.demands)
     base = np.zeros(inst.m, dtype=np.int64)
@@ -447,38 +442,11 @@ def _campaign(
 
 
 def _run_replication(camp: _Campaign, model: ArrivalModel, rep: int) -> _RepAccum:
-    probs_f = [float(p) for p in model.probs]
-    arr_gens = [_stream(camp.seed, rep, _ARRIVAL_STREAM, i) for i in range(len(probs_f))]
-    acc = _RepAccum(len(probs_f), camp.comp_cols)
-    if camp.servers:
-        _run_general(camp, model, arr_gens, probs_f, rep, acc)
-    else:
-        _run_dedicated(camp, model, arr_gens, probs_f, acc)
-    return acc
-
-
-def _run_dedicated(camp, model, arr_gens, probs_f, acc) -> None:
-    """Every server is dedicated, so each queue follows its own Lindley
-    recursion q' = max(q + a - s, 0); whole chunks vectorize."""
-    # service above the arrival level keeps a queue at 0 either way; capping
-    # it there bounds the partial sums by horizon * level
-    svec = np.minimum(camp.base, model.levels)
-    q_prev = np.zeros(len(svec), dtype=np.int64)
-    done = 0
-    while done < camp.horizon:
-        length = min(_CHUNK, camp.horizon - done)
-        partial = np.cumsum(_arrival_chunk(arr_gens, probs_f, model.levels, length) - svec,
-                            axis=0)
-        running_min = np.minimum.accumulate(partial, axis=0)
-        qarr = partial - np.minimum(running_min, -q_prev)
-        q_prev = qarr[-1].copy()
-        acc.add(qarr[max(0, camp.warmup - done):])
-        done += length
-
-
-def _run_general(camp, model, arr_gens, probs_f, rep, acc) -> None:
     """MaxWeight steps, one kernel call (or Python loop) per chunk."""
     m = len(camp.base)
+    probs_f = [float(p) for p in model.probs]
+    arr_gens = [_stream(camp.seed, rep, _ARRIVAL_STREAM, i) for i in range(m)]
+    acc = _RepAccum(m, camp.comp_cols)
     tie_gens = [_stream(camp.seed, rep, _TIE_STREAM, j) for j in camp.servers]
     kernel = _kernel()
     q = np.zeros(m, dtype=np.int64)
@@ -499,6 +467,7 @@ def _run_general(camp, model, arr_gens, probs_f, rep, acc) -> None:
                    camp.cand, camp.mu, q, s, tied, qarr)
         acc.add(qarr[max(0, camp.warmup - done):])
         done += length
+    return acc
 
 
 def _stats(camp: _Campaign, model: ArrivalModel) -> SimStats:
@@ -547,7 +516,6 @@ def simulate(
     warmup: int | None = None,
     seed: int = 0,
     replications: int = 1,
-    model: ArrivalModel | None = None,
     arrival_levels: Sequence[int] | None = None,
 ) -> SimStats:
     """Run the MaxWeight chain and pool post-warmup averages.
@@ -559,7 +527,7 @@ def simulate(
     and runs whose queue lengths could reach 2^63: horizon x sum of arrival
     levels + sum of service rates must stay below it.
     """
-    camp = _campaign(inst, [eps], horizon, warmup, seed, replications, model, arrival_levels)
+    camp = _campaign(inst, [eps], horizon, warmup, seed, replications, arrival_levels)
     return _stats(camp, camp.models[0])
 
 
@@ -644,11 +612,9 @@ def heavy_traffic_check(
     if not eps_list:
         raise ValueError("need at least one eps value")
     eps_vals = sorted({_check_eps(e) for e in eps_list}, reverse=True)
-    nu, _ = _integer_rates(inst)
-    camp = _campaign(
-        inst, eps_vals, horizon, warmup, seed, replications, arrival_levels=arrival_levels
-    )
+    camp = _campaign(inst, eps_vals, horizon, warmup, seed, replications, arrival_levels)
     components = camp.components
+    nu = camp.models[0].rates
     limit_var = camp.models[0].limit_variances
     rhs = Fraction(0)
     for comp in components:

@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FREE, IN, OUT, ProblemInstance, _Transport, is_feasible, make_instance
+from .core import FREE, IN, OUT, ProblemInstance, _Transport, make_instance
 from .core import parse_rational
 from .decomposition import CrpDecomposition, crp_decomposition
-from .errors import GapUndefined, InvariantViolation, SizeLimitExceeded
+from .errors import GapUndefined, Infeasible, InvariantViolation, SizeLimitExceeded
 
 __all__ = [
     "GapReport",
@@ -221,25 +221,22 @@ def _perturbation_check(
     norm = sum(abs(v) for v in w)
     if norm >= 2 * delta:
         reasons.append(f"l1 norm {norm} is not below 2*delta = {2 * delta}")
-    perturbed = None
+    perturbed_erp = None
     if not reasons:
         shifted = [a + b for a, b in zip(inst.demand, w)]
         if any(v < 0 for v in shifted):
             reasons.append("a perturbed demand rate is negative")
         else:
             cand = make_instance(shifted, inst.supply, inst.sorted_edges)
-            if not is_feasible(cand):
+            try:
+                perturbed_erp = crp_decomposition(cand).erp_number
+            except Infeasible:
                 reasons.append("perturbed polytope is empty")
-            else:
-                perturbed = cand
-    perturbed_erp = None
-    if perturbed is not None:
-        perturbed_erp = crp_decomposition(perturbed).erp_number
-        if perturbed_erp > base_erp:
-            raise InvariantViolation(
-                f"admissible perturbation raised the block count"
-                f" {base_erp} -> {perturbed_erp}"
-            )
+    if perturbed_erp is not None and perturbed_erp > base_erp:
+        raise InvariantViolation(
+            f"admissible perturbation raised the block count"
+            f" {base_erp} -> {perturbed_erp}"
+        )
     return PerturbationCheck(
         omega=w,
         admissible=not reasons,

@@ -67,6 +67,18 @@ def test_add_edge_effect_errors(four_pair_instance):
         add_edge_effect(four_pair_instance, (1, 5))
 
 
+def test_edge_indices_must_be_integers(four_pair_instance):
+    # 1.9 must not truncate to 1, nor True read as 1; (2, 1) is absent
+    dec = crp_decomposition(four_pair_instance)
+    for edge in ((1.9, 2.7), (1.5, 2), (2, 1.0), (True, 1), (2, False)):
+        for add in (lambda e: add_edge_effect(four_pair_instance, e), dec.with_edge,
+                    dec.merged_by, four_pair_instance.with_edge):
+            with pytest.raises(ValueError, match="edge indices must be integers"):
+                add(edge)
+    assert add_edge_effect(four_pair_instance, (2, 1)).edge == (2, 1)
+    assert (2, 1) in four_pair_instance.with_edge((2, 1)).edges
+
+
 def test_best_single_edge_on_pooled_graph(small_tree_instance):
     with pytest.raises(AlreadyCrp):
         best_single_edge(small_tree_instance)

@@ -215,12 +215,16 @@ def test_simulate_error_taxonomy():
         {"horizon": 100, "warmup": -1},
         {"horizon": 100, "replications": 0},
         {"horizon": 100, "seed": -3},
+        # bools are not counts, though Python calls them ints
+        {"horizon": True},
+        {"horizon": 100, "warmup": False},
+        {"horizon": 100, "replications": True},
+        {"horizon": 100, "seed": False},
     ):
         with pytest.raises(ValueError):
             simulate(one, "0.1", **kwargs)
-    model = make_arrival_model(one, "0.1")
-    with pytest.raises(ValueError):
-        simulate(one, "0.2", horizon=100, model=model)
+        with pytest.raises(ValueError):
+            heavy_traffic_check(one, ["0.1"], **kwargs)
 
 
 def test_simulate_refuses_queue_lengths_past_int64():
@@ -237,8 +241,8 @@ def test_simulate_refuses_queue_lengths_past_int64():
 
 
 def test_dedicated_service_far_above_the_level_keeps_queues_empty():
-    # 10^15 service per slot against arrivals of at most 10: every queue stays
-    # 0, and the per-chunk partial sums of a - s must not wrap around int64
+    # 10^15 service per slot against arrivals of at most 10: q + a - s is far
+    # below zero in every slot of the step loop, and every queue stays 0
     rate = 10**15
     inst = make_instance([rate], [rate], [(1, 1)])
     stats = simulate(inst, 1 - Fraction(1, rate), horizon=40_000, seed=1,
@@ -316,7 +320,7 @@ def test_simulate_matches_stepwise_reference(monkeypatch):
 
 
 def test_simulate_crosses_chunk_boundaries(monkeypatch):
-    # horizons beyond one chunk exercise the carried queue state on both paths
+    # horizons beyond one chunk exercise the carried queue state in both step loops
     assert queuesim._CHUNK < 40_000
     for _loop in step_loops(monkeypatch):
         for inst in (diagonal_instance(2), four_pair_graph()):
@@ -325,10 +329,11 @@ def test_simulate_crosses_chunk_boundaries(monkeypatch):
 
 
 def test_step_loops_agree_across_chunks(monkeypatch):
-    crp = design_flexibility([1] * 4, [1] * 4, 1).instance()
-    runs = [simulate(crp, "0.05", horizon=70_000, seed=6, replications=2)
-            for _loop in step_loops(monkeypatch)]
-    assert runs[0] == runs[1]
+    # a designed pooled graph, and one where no server has two queues
+    for inst in (design_flexibility([1] * 4, [1] * 4, 1).instance(), diagonal_instance(4)):
+        runs = [simulate(inst, "0.05", horizon=70_000, seed=6, replications=2)
+                for _loop in step_loops(monkeypatch)]
+        assert runs[0] == runs[1]
 
 
 def test_kernel_builds_wherever_cc_is_found(monkeypatch, tmp_path):
