@@ -7,8 +7,11 @@ checked exactly as argv is.  Instances travel as JSON documents with fields
 m, n, demand, supply, edges; rationals are integers or exact strings like
 "3/2".  Results are wrapped in a single envelope {schema_version, command,
 seed, input, options, result} printed with sorted keys, so equal inputs
-produce byte-identical output.  `simulate` emits CSV by default (sweeps want
-columns, not trees); `--format json` switches it to the envelope.
+produce byte-identical output.  Its bytes equal json.dumps(envelope,
+sort_keys=True, indent=2) plus a newline; they are produced as json's C
+encoder's compact text and then one numpy pass that adds the indent=2 layout
+(`_indented`).  `simulate` emits CSV by default (sweeps want columns, not
+trees); `--format json` switches it to the envelope.
 
 Exit codes: 0 success, 1 domain errors (infeasible instance, invalid target,
 failed verification, a simulation above MAX_SIM_STEPS steps), 2 malformed
@@ -28,6 +31,8 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Any, Callable
+
+import numpy as np
 
 from .augmentation import add_edge_effect, best_single_edge
 from .core import ProblemInstance, format_rational, is_feasible, parse_rational
@@ -83,10 +88,52 @@ def _instance(doc, where: str) -> ProblemInstance:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
+# json uses its C encoder only when indent is None.  So the envelope is
+# encoded compactly in C, with the ": " key separator that indent=2 uses, and
+# one numpy pass over that ASCII text adds the rest of indent=2's layout.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
+# byte classes: quote 1, close 2, comma 3, open 4, backslash 5, other bytes 0
+_CLASSES = bytes(dict(zip(b'"]},[{\\', (1, 2, 2, 3, 4, 4, 5))).get(b, 0) for b in range(256))
+_DEPTH_STEP = np.array([0, 0, -2, 0, 2, 0], np.intp)  # change of 2 x depth
+_AFTER = np.array([0, 0, 0, 1, 1, 0], np.intp)  # 1: the layout follows the byte
+
+
+def _indented(doc) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n", built from compact text.
+
+    Outside strings, a newline and 2 x depth spaces go after each "[", "{"
+    and "," and before each "]" and "}", except inside an empty "[]" or "{}".
+    """
+    data = _COMPACT(doc).encode("ascii")
+    # the escapes \\ and \" become inert byte pairs, read left to right as a
+    # decoder does, so every quote left delimits a string
+    cls = data.translate(_CLASSES).replace(b"\5\5", b"\0\0").replace(b"\5\1", b"\0\0")
+    cls = np.frombuffer(cls.replace(b"\4\2", b"\0\0"), np.int8)
+    at = cls.nonzero()[0]
+    kind = cls.take(at)
+    quote = kind == 1
+    outside = ~(quote | np.logical_xor.accumulate(quote))
+    at, kind = at[outside], kind[outside]
+    size = _DEPTH_STEP.take(kind).cumsum()
+    size += 1  # "\n" and 2 x depth spaces
+    where = at + _AFTER.take(kind)  # never 0: the text starts with a value
+    # pos[i] = output position of input byte i = i + layout inserted before it
+    step = np.empty(len(data), np.intp)
+    step.fill(1)
+    step[0] = 0
+    step[where] = size + 1
+    pos = step.cumsum()
+    out = np.empty(pos[-1] + 2, np.uint8)
+    out.fill(32)
+    out[pos] = np.frombuffer(data, np.uint8)
+    out[pos.take(where) - size] = 10
+    out[-1] = 10
+    return out.tobytes().decode("ascii")
+
+
 def _envelope(command: str, seed: int, input_doc, options: dict, result) -> str:
-    doc = dict(schema_version=SCHEMA_VERSION, command=command, seed=seed,
-               input=input_doc, options=options, result=result)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _indented(dict(schema_version=SCHEMA_VERSION, command=command, seed=seed,
+                          input=input_doc, options=options, result=result))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +253,8 @@ def _augment(inst: ProblemInstance, options: dict, seed: int) -> dict:
 def _plan(inst: None, options: dict, seed: int) -> dict:
     objective = options["objective"]
     spec = objective["tables"] if isinstance(objective, dict) else objective
+    if isinstance(spec, _ParsedTables):  # read from a file, not a stored envelope
+        spec = spec.values
     return plan_schedule(options["eta"], options["budget"], spec).to_dict()
 
 
@@ -327,15 +376,25 @@ def _perturb_file(path: str) -> list:
     return [[str(w) for w in o] for o in omegas]
 
 
+class _ParsedTables(list):
+    """Objective tables as the options record shows them, rows of canonical
+    rational strings, keeping the Fractions they were formatted from: the plan
+    reads those, so each entry of a tables file is parsed once."""
+
+    def __init__(self, values: list[list[Fraction]]):
+        super().__init__([format_rational(v) for v in row] for row in values)
+        self.values = values
+
+
 def _tables_file(path: str) -> dict:
     doc = _load_json(path)
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise DocumentError(f"{path}: objective tables must be a list of rows")
     try:
-        tables = [[format_rational(parse_rational(v)) for v in row] for row in doc]
+        values = [[parse_rational(v) for v in row] for row in doc]
     except (ValueError, TypeError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
-    return {"tables": tables}
+    return {"tables": _ParsedTables(values)}
 
 
 def _objective_arg(text: str):

@@ -79,7 +79,7 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "3", "-1/2", ... round-trips through parse."""
-    return str(Fraction(value))
+    return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
 @dataclass(frozen=True)

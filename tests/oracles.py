@@ -10,6 +10,7 @@ module.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 from fractions import Fraction
 from typing import Sequence
@@ -735,3 +736,8 @@ def verify_decomposition(inst: ProblemInstance, cover: Sequence) -> bool:
             return False
         used |= block_supplies
     return used == set(range(1, inst.n + 1))
+
+
+def envelope_text(doc) -> str:
+    """The bytes of a CLI envelope holding doc: CPython's indent=2 encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

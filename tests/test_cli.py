@@ -5,6 +5,8 @@ import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -16,6 +18,8 @@ from procflex import cli, validate_instance
 from procflex.cli import main
 from procflex.design import MAX_COVER_SIZE
 from procflex.planning import MAX_PLAN_TABLE_BITS
+
+from .oracles import envelope_text
 
 
 THREE_BLOCK = {
@@ -439,6 +443,8 @@ def test_every_verb_in_the_table_replays_under_verify(tmp_path):
         for argv in examples[name]:
             code, out, err = call(argv)
             assert code == 0, (argv, err)
+            if out.startswith("{"):
+                assert out == envelope_text(json.loads(out)), argv
             if name not in replayable or not out.startswith("{"):
                 continue  # verify's own envelope and simulate's CSV replay nothing
             path = tmp_path / f"{name}.json"
@@ -448,6 +454,37 @@ def test_every_verb_in_the_table_replays_under_verify(tmp_path):
             assert json.loads(out)["result"] == {"verified": True, "command": name}
             verified.add(name)
     assert verified == replayable == set(cli._VERBS) - {"verify"}
+
+
+# text that exercises the layout pass: structural bytes and escapes inside
+# strings, control characters, non-ASCII and a lone surrogate
+TEXT = st.text(st.sampled_from('"\\[]{},: a\n\t\x00\x1f\x7f\xe9\u2028\ud800\U0001f600'),
+               max_size=6) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | TEXT
+    | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**200),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=2000, deadline=None)
+def test_envelope_bytes_equal_the_indent_2_encoder(value):
+    # floats() draws NaN and +-Infinity; recursive() draws nested empty
+    # containers and top-level scalars
+    assert cli._indented(value) == envelope_text(value)
+
+
+def test_cli_import_leaves_subprocess_and_hashlib_unloaded():
+    # queuesim imports them only to build its kernel; the cold start avoids them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, procflex.cli; print(sorted({'subprocess', 'hashlib'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 @functools.cache

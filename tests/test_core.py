@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import procflex as pf
@@ -85,6 +85,15 @@ def test_rational_strings_round_trip():
 def test_floats_rejected():
     with pytest.raises(ValueError):
         pf.parse_rational(0.5)
+
+
+@given(st.fractions() | st.integers())
+@example(True)
+@example("-6/4")
+@example(" 0.25 ")
+@settings(max_examples=300, deadline=None)
+def test_format_rational_is_the_canonical_fraction_string(value):
+    assert pf.format_rational(value) == str(Fraction(value))
 
 
 def test_huge_decimal_exponents_rejected_before_expansion():
