@@ -45,6 +45,7 @@ from .core import (
     validate_instance,
 )
 from .decomposition import (
+    CrpComponent,
     CrpDag,
     CrpDecomposition,
     SscBasis,

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -57,12 +57,12 @@ def parse_rational(value) -> Fraction:
     Floats are rejected: the file format is exact by design.  Decimal strings
     may carry an exponent of at most MAX_DECIMAL_EXPONENT either way.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, str):
         found = _EXPONENT.search(value)
         digits = found[1].replace("_", "").lstrip("0") if found else ""
@@ -310,9 +310,10 @@ def _scaled(value: Fraction, scale: int) -> int:
 # denominators, so capacities and flows are Python ints and the arithmetic
 # stays exact; the "infinite" capacity on instance edges exceeds every
 # finite arc's capacity put together, so no cut can afford it.  Flows map
-# back to Fractions only in assignment().  order_seed permutes the edge arcs
-# so tests can seed the decomposition with genuinely different feasible
-# points.
+# back to Fractions only in assignment(); the pooling decomposition reads the
+# residual arcs (res > 0) of the solved network in place.  order_seed
+# permutes the edge arcs so tests can seed the decomposition with genuinely
+# different feasible points.
 # ---------------------------------------------------------------------------
 
 FREE, IN, OUT = 0, 1, 2
@@ -514,26 +515,31 @@ def is_feasible(inst: ProblemInstance) -> bool:
     return ok
 
 
-def find_feasible_point(inst: ProblemInstance, order_seed: int = 0) -> Assignment:
-    """Any point of the polytope, extracted from an exact max flow."""
+def _feasible_network(inst: ProblemInstance, order_seed: int = 0) -> _Transport:
+    """inst's network carrying a saturating max flow: a feasible point."""
     net, ok = _solved_network(inst, order_seed=order_seed)
     if not ok:
         raise Infeasible("no feasible assignment: capacity region violated")
-    return net.assignment()
+    return net
+
+
+def find_feasible_point(inst: ProblemInstance, order_seed: int = 0) -> Assignment:
+    """Any point of the polytope, extracted from an exact max flow."""
+    return _feasible_network(inst, order_seed=order_seed).assignment()
 
 
 def greedy_extreme_point(
     demand: Sequence,
     supply: Sequence,
-    order: Iterable[tuple[int, int]] | str | None = None,
+    order: Iterable[tuple[int, int]] | None = None,
 ) -> Assignment:
     """Extreme point of the complete-bipartite polytope by greedy saturation.
 
     Repeatedly picks an active (demand, supply) pair, routes the largest
     possible amount, and retires whichever side is exhausted; on a tie both
     sides retire, which is exactly what produces degenerate extreme points
-    with several components.  `order` is either "first-available" (default:
-    lexicographically smallest active pair) or an explicit sequence of pairs.
+    with several components.  `order` is an explicit sequence of pairs, or
+    None (the default) for the lexicographically smallest active pair.
 
     All extreme points arise this way for some order, and with integer rates
     every entry is an integer multiple of the combined GCD.
@@ -548,9 +554,7 @@ def greedy_extreme_point(
             raise NegativeRate("rates must be nonnegative")
     active_i = set(range(1, m + 1))
     active_j = set(range(1, n + 1))
-    explicit: Iterator[tuple[int, int]] | None = None
-    if order is not None and order != "first-available":
-        explicit = iter(list(order))
+    explicit = None if order is None else iter(list(order))
     entries: dict[tuple[int, int], Fraction] = {}
     while active_i and active_j:
         if explicit is None:

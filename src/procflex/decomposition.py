@@ -2,7 +2,8 @@
 
 An edge is redundant when it carries zero flow in every feasible assignment.
 All three structures come from one pass: the strongly connected components
-(SCCs) of the residual graph of a single feasible point.  An edge is
+(SCCs) of the residual graph of a single feasible point, read off the arcs of
+core's solved integer flow network with no copy of the point.  An edge is
 redundant exactly when its ends lie in different SCCs; the SCCs are the
 pooling blocks, each of which pools completely on its own; and the pooling
 DAG is the condensation of the residual graph, the transportation-polytope
@@ -19,11 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import Assignment, ProblemInstance, _edge_pair, find_feasible_point
+from .core import ProblemInstance, _edge_pair, _feasible_network, _Network
 from .errors import EdgeAlreadyPresent, IndexOutOfRange
 
 __all__ = [
-    "WorkCounter",
     "CrpComponent",
     "CrpDecomposition",
     "CrpDag",
@@ -36,56 +36,11 @@ __all__ = [
 ]
 
 
-@dataclass
-class WorkCounter:
-    """Counts elementary scan steps; lets tests pin the complexity bound."""
-
-    ops: int = 0
-
-
-def redundant_edges(
-    inst: ProblemInstance,
-    x: Assignment | None = None,
-    order_seed: int = 0,
-    counter: WorkCounter | None = None,
-) -> frozenset[tuple[int, int]]:
-    """Edges that are zero in every feasible assignment.
-
-    Works from any single feasible point x, read as a saturating flow.  Its
-    residual graph on the demand and supply vertices has an arc i -> j for
-    every instance edge and an arc j -> i for every edge with x_ij > 0; the
-    source and sink are dead ends there, because every source and sink arc is
-    saturated.  Flow can move onto edge (i, j) exactly when a residual cycle
-    runs through it, so the edge is redundant exactly when i and j lie in
-    different strongly connected components.  One Tarjan pass finds them in
-    O(m + n + |E|); the result does not depend on which feasible point seeds
-    it.
-    """
-    comp = _residual_sccs(inst, x, order_seed, counter)
-    m = inst.m
-    return frozenset((i, j) for i, j in inst.edges if comp[i - 1] != comp[m + j - 1])
-
-
-def _residual_sccs(
-    inst: ProblemInstance,
-    x: Assignment | None = None,
-    order_seed: int = 0,
-    counter: WorkCounter | None = None,
-) -> list[int]:
-    """SCC label of every residual vertex: demand i at i-1, supply j at m+j-1."""
-    if x is None:
-        x = find_feasible_point(inst, order_seed=order_seed)
-    m = inst.m
-    adj: list[list[int]] = [[m + j - 1 for j in nbrs] for nbrs in inst.demand_adj]
-    adj.extend([] for _ in range(inst.n))
-    for i, j in x.support():
-        adj[m + j - 1].append(i - 1)
-    return _scc_labels(adj, WorkCounter() if counter is None else counter)
-
-
-def _scc_labels(adj: list[list[int]], counter: WorkCounter) -> list[int]:
-    """Strongly connected component label of every vertex (Tarjan, iterative)."""
-    size = len(adj)
+def _scc_labels(net: _Network) -> list[int]:
+    """Strongly connected component label of every node of net's residual
+    graph, whose arcs are the arcs with res > 0 (Tarjan, iterative)."""
+    adj, to, res = net.adj, net.arc_to, net.res
+    size = net.n_nodes
     index = [-1] * size
     low = [0] * size
     comp = [-1] * size
@@ -106,8 +61,10 @@ def _scc_labels(adj: list[list[int]], counter: WorkCounter) -> list[int]:
             k = next_arc[u]
             if k < len(adj[u]):
                 next_arc[u] = k + 1
-                counter.ops += 1
-                v = adj[u][k]
+                a = adj[u][k]
+                if not res[a]:
+                    continue
+                v = to[a]
                 if index[v] < 0:
                     index[v] = low[v] = count
                     count += 1
@@ -172,17 +129,6 @@ class CrpDecomposition:
             for i, j in self.redundant_edges
         )
         return CrpDag(self.erp_number, dict(multi))
-
-    def component_of_demand(self, i: int) -> int:
-        """1-based component label containing demand i."""
-        if not 1 <= i <= self.m:
-            raise KeyError(i)
-        return self.demand_labels[i - 1]
-
-    def component_of_supply(self, j: int) -> int:
-        if not 1 <= j <= self.n:
-            raise KeyError(j)
-        return self.supply_labels[j - 1]
 
     def merged_by(self, edge: tuple[int, int]) -> frozenset[int]:
         """Labels of the blocks that adding the absent edge (i, j) merges.
@@ -271,15 +217,26 @@ def crp_decomposition(
 ) -> CrpDecomposition:
     """Pooling blocks: the SCCs of the residual graph of one feasible point.
 
-    A kept edge has both ends in one SCC, and every residual arc inside an SCC
-    is a kept instance edge, so the SCCs are exactly the connected components
-    left after removing every redundant edge.  Blocks are ordered by their
-    lowest vertex, demands and supplies interleaved (demand i sits at position
-    2i-1, supply j at 2j), so the numbering is stable and matches the usual
-    drawing order.
+    The point is the saturating max flow of the transportation network, read
+    in place.  Its residual arcs are an arc i -> j for every instance edge
+    (uncapacitated) and an arc j -> i for every edge with x_ij > 0; every
+    source and sink arc is saturated, so the source and the sink are dead
+    ends and the SCCs of the demand and supply nodes are those of the
+    residual graph on them alone.  Flow can move onto edge (i, j) exactly
+    when a residual cycle runs through it, so the edge is redundant exactly
+    when i and j lie in different SCCs; the result does not depend on which
+    feasible point order_seed picks.  A kept edge has both ends in one SCC,
+    and every residual arc inside an SCC is a kept instance edge, so the
+    SCCs are exactly the connected components left after removing every
+    redundant edge.  One Tarjan pass finds them in O(m + n + |E|).
+
+    Blocks are ordered by their lowest vertex, demands and supplies
+    interleaved (demand i sits at position 2i-1, supply j at 2j), so the
+    numbering is stable and matches the usual drawing order.
     """
     m, n = inst.m, inst.n
-    comp = _residual_sccs(inst, order_seed=order_seed)
+    # network nodes 1..m+n are the demands, then the supplies
+    comp = _scc_labels(_feasible_network(inst, order_seed=order_seed))[1:-1]
     label_of_scc: dict[int, int] = {}
     labels = [0] * (m + n)
     position = [2 * i - 1 for i in range(1, m + 1)] + [2 * j for j in range(1, n + 1)]
@@ -288,13 +245,20 @@ def crp_decomposition(
     return _from_labels(m, n, labels, inst.edges)
 
 
+def redundant_edges(
+    inst: ProblemInstance, order_seed: int = 0
+) -> frozenset[tuple[int, int]]:
+    """Edges that are zero in every feasible assignment: those between blocks."""
+    return crp_decomposition(inst, order_seed=order_seed).redundant_edges
+
+
 def erp_number(inst: ProblemInstance, order_seed: int = 0) -> int:
     return crp_decomposition(inst, order_seed=order_seed).erp_number
 
 
 def crp_condition(inst: ProblemInstance) -> bool:
     """Complete pooling: one residual SCC spans every demand and supply."""
-    return len(set(_residual_sccs(inst))) == 1
+    return crp_decomposition(inst).erp_number == 1
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,7 @@ class Schedule:
         }
 
 
-def structured_schedule(eta: int, K: int, p: int = 0, k=()) -> Schedule:
+def structured_schedule(eta: int, K: int, k=()) -> Schedule:
     """The explicit plan for close vector k: chain edges between consecutive
     blocks at ordinary steps, a cycle-closing edge at each k_l."""
     if not isinstance(eta, int) or isinstance(eta, bool) or eta < 1:
@@ -218,8 +218,7 @@ def structured_schedule(eta: int, K: int, p: int = 0, k=()) -> Schedule:
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
         raise ValueError(f"horizon must be a non-negative integer, got {K!r}")
     k = tuple(k)
-    if len(k) != p:
-        raise InvalidK(f"p={p} but k has {len(k)} entries")
+    p = len(k)
     _check_k(eta, K, k)
     moves: list[Move] = []
     closes = 0
@@ -379,8 +378,7 @@ def _closed_form_sum(eta: int, K: int, obj: Objective, dp_value) -> ClosedFormRe
     if best is None:
         return None
     score, pbar, k = best
-    sched = structured_schedule(eta, K, pbar, k)
-    value = obj.total(sched.trajectory())
+    value = obj.total(_close_trajectory(eta, K, k))
     return ClosedFormReport(
         p=pbar, k=k, formula_score=score, value=value, matches_dp=value == dp_value
     )
@@ -407,11 +405,11 @@ class PlanReport:
 def plan_schedule(eta: int, K: int, objective) -> PlanReport:
     """Best structured schedule for the objective.
 
-    The dynamic program is always the authority on the optimal value.  For
-    the pure final-count objective the known closed form (one close at step
-    min(eta, K), when that is a legal close) is returned as the witness; for
-    the sum objective the closed-form guess is evaluated and reported next
-    to the optimum rather than trusted.
+    The dynamic program is the authority on the optimal value, and its close
+    vector is the schedule.  For the pure final-count objective that is the
+    known closed form: one close at step min(eta, K) when that is a legal
+    close, else none.  For the sum objective the closed-form guess is
+    evaluated and reported next to the optimum rather than trusted.
     """
     if not isinstance(eta, int) or isinstance(eta, bool) or eta < 1:
         raise ValueError(f"eta must be a positive integer, got {eta!r}")
@@ -423,22 +421,8 @@ def plan_schedule(eta: int, K: int, objective) -> PlanReport:
         )
     obj = make_objective(objective, eta, K)
     value, k = _dp_plan(eta, K, obj)
-    closed_form = None
-    if obj.kind == "final":
-        k1 = min(eta, K)
-        if k1 >= 2:
-            sched = structured_schedule(eta, K, 1, (k1,))
-        else:
-            sched = structured_schedule(eta, K)
-        witness = obj.total(sched.trajectory())
-        if witness != value:
-            raise InvariantViolation(
-                f"single-close witness scores {witness}, optimum is {value}"
-            )
-    else:
-        sched = structured_schedule(eta, K, len(k), k)
-        if obj.kind == "sum":
-            closed_form = _closed_form_sum(eta, K, obj, value)
+    sched = structured_schedule(eta, K, k)
+    closed_form = _closed_form_sum(eta, K, obj, value) if obj.kind == "sum" else None
     return PlanReport(
         schedule=sched,
         trajectory=sched.trajectory(),

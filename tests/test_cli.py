@@ -242,7 +242,6 @@ def test_plan_verb(files, capsys, tmp_path):
 
 
 def test_plan_at_the_size_cap(capsys, tmp_path):
-    # plan_schedule checks the single-close witness against the DP for "final";
     # both optima equal tests/oracles.dp_plan_reference at this size
     for objective, value in (("final", "1"), ("sum", "22389")):
         code, out, _ = run(capsys, "plan", "--eta", "200", "--budget", "200",

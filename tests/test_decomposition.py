@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import procflex as pf
+from procflex import core, decomposition
 from procflex.core import check_assignment
-from procflex.decomposition import WorkCounter
 
 from .conftest import (
     planted_block_instance,
@@ -102,16 +102,44 @@ def test_planted_blocks_recovered_at_m_1000():
     assert dag.edge_multiplicity_total == len(forward)
 
 
-def test_work_bound(three_block_instance):
+def test_work_bound(three_block_instance, monkeypatch):
+    # Tarjan steps past each arc of its network once, so the arcs handed to
+    # the one SCC pass count its scan steps
+    handed = []
+    scc_labels = decomposition._scc_labels
+
+    def counting(net):
+        handed.append(sum(len(arcs) for arcs in net.adj))
+        return scc_labels(net)
+
+    monkeypatch.setattr(decomposition, "_scc_labels", counting)
     cases = [three_block_instance]
     rng = random.Random(99)
     for _ in range(20):
         cases.append(random_feasible_instance(rng, max_m=6, max_n=6))
     for inst in cases:
-        counter = WorkCounter()
-        pf.redundant_edges(inst, counter=counter)
+        handed.clear()
+        pf.redundant_edges(inst)
         bound = 4 * (inst.m + inst.n) * (inst.m + inst.n + len(inst.edges))
-        assert counter.ops <= bound
+        assert len(handed) == 1 and handed[0] <= bound
+
+
+def test_decomposition_reads_the_solved_network_in_place(three_block_instance, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decomposition copied the feasible point out")
+
+    monkeypatch.setattr(core._Transport, "assignment", refuse)
+    monkeypatch.setattr(core, "find_feasible_point", refuse)
+    monkeypatch.setattr(decomposition, "find_feasible_point", refuse, raising=False)
+    for seed in range(4):
+        dec = pf.crp_decomposition(three_block_instance, order_seed=seed)
+        assert dec.redundant_edges == {(1, 3), (1, 5), (2, 4)}
+    assert pf.redundant_edges(three_block_instance) == {(1, 3), (1, 5), (2, 4)}
+    assert pf.crp_condition(three_block_instance) is False
+    # demand 1 reaches only supply 1, which has half its rate
+    stuck = pf.make_instance([2, 0], [1, 1], [(1, 1), (2, 2)])
+    with pytest.raises(pf.Infeasible, match="^no feasible assignment: capacity region violated$"):
+        pf.crp_decomposition(stuck)
 
 
 def test_decomposition_three_block(three_block_instance):
@@ -250,23 +278,12 @@ def test_blocks_match_union_find_oracle():
             dec = pf.crp_decomposition(inst, order_seed=seed)
             assert dec.redundant_edges == redundant
             assert [(c.demands, c.supplies, c.edges) for c in dec.components] == blocks
-            for i in range(1, inst.m + 1):
-                assert dec.component_of_demand(i) == label[("d", i)]
-            for j in range(1, inst.n + 1):
-                assert dec.component_of_supply(j) == label[("s", j)]
+            assert dec.demand_labels == tuple(label[("d", i)] for i in range(1, inst.m + 1))
+            assert dec.supply_labels == tuple(label[("s", j)] for j in range(1, inst.n + 1))
             assert dict(dec.dag.edges) == dag_edges
         assert pf.crp_condition(inst) == (len(blocks) == 1 and not redundant)
         zero_rate_blocks += sum(1 for d, s, _e in blocks if not d or not s)
     assert zero_rate_blocks >= 80
-
-
-def test_component_lookup_rejects_out_of_range(three_block_instance):
-    dec = pf.crp_decomposition(three_block_instance)
-    for bad in (0, -1, 6):
-        with pytest.raises(KeyError):
-            dec.component_of_demand(bad)
-        with pytest.raises(KeyError):
-            dec.component_of_supply(bad)
 
 
 def test_ssc_basis(three_block_instance, small_tree_instance, four_pair_instance):

@@ -68,7 +68,7 @@ def test_trajectory_rejects_present_and_repeated_edges(four_pair_instance):
 
 
 def test_structured_schedule_three_close_pattern():
-    s = structured_schedule(9, 11, 3, (4, 8, 11))
+    s = structured_schedule(9, 11, (4, 8, 11))
     assert s.moves == (
         ("chain", 1, 2),
         ("chain", 2, 3),
@@ -88,7 +88,7 @@ def test_structured_schedule_three_close_pattern():
 
 
 def test_structured_schedule_single_close_and_chain():
-    s = structured_schedule(5, 7, 1, (5,))
+    s = structured_schedule(5, 7, (5,))
     assert s.moves[4] == ("close", 5, 1)
     assert s.trajectory() == (5, 5, 5, 5, 1, 1, 1)
     assert s.moves[5] == ("filler",) and s.moves[6] == ("filler",)
@@ -100,17 +100,15 @@ def test_structured_schedule_single_close_and_chain():
 
 def test_structured_schedule_invalid_close_vectors():
     with pytest.raises(InvalidK):
-        structured_schedule(2, 1, 1, (1,))  # no chain edge to cycle through yet
+        structured_schedule(2, 1, (1,))  # no chain edge to cycle through yet
     with pytest.raises(InvalidK):
-        structured_schedule(5, 9, 2, (3, 4))  # back-to-back closes reuse an edge
+        structured_schedule(5, 9, (3, 4))  # back-to-back closes reuse an edge
     with pytest.raises(InvalidK):
-        structured_schedule(5, 9, 2, (4, 3))
+        structured_schedule(5, 9, (4, 3))
     with pytest.raises(InvalidK):
-        structured_schedule(3, 9, 1, (6,))  # beyond eta+i-1
+        structured_schedule(3, 9, (6,))  # beyond eta+i-1
     with pytest.raises(InvalidK):
-        structured_schedule(5, 4, 1, (5,))  # beyond horizon
-    with pytest.raises(InvalidK):
-        structured_schedule(5, 4, 2, (3,))  # p and k disagree
+        structured_schedule(5, 4, (5,))  # beyond horizon
 
 
 def test_realize_rejects_a_block_without_supply():
@@ -124,7 +122,7 @@ def test_structured_trajectories_match_ground_truth():
     for eta, K in ((2, 2), (4, 6), (5, 12), (8, 12)):
         inst = diagonal(eta)
         for k in all_close_vectors(eta, K):
-            s = structured_schedule(eta, K, len(k), k)
+            s = structured_schedule(eta, K, k)
             try:
                 edges = s.realize(inst)
             except ValueError:
@@ -140,10 +138,10 @@ def test_plan_sum_nine_blocks():
     assert rep.value == 61
     # returned trajectory must obey the induction for its own close vector
     k = rep.schedule.cycle_steps
-    assert rep.trajectory == structured_schedule(9, 11, len(k), k).trajectory()
+    assert rep.trajectory == structured_schedule(9, 11, k).trajectory()
     # one known optimal vector
     obj = make_objective("sum", 9, 11)
-    known = structured_schedule(9, 11, 3, (4, 8, 11))
+    known = structured_schedule(9, 11, (4, 8, 11))
     assert obj.total(known.trajectory()) == 61
     cf = rep.closed_form
     assert cf is not None
@@ -169,6 +167,17 @@ def test_plan_final_nine_blocks():
     assert rep.trajectory == (9,) * 8 + (1, 1, 1)
     assert rep.value == 1
     assert rep.closed_form is None
+
+
+def test_plan_final_is_one_close_at_min_eta_k():
+    # the closed form: one close at min(eta, K) reaches max(eta - K + 1, 1)
+    # blocks, and the DP's fewest-closes tie-break returns exactly that vector
+    shapes = [(eta, K) for eta in range(1, 21) for K in range(1, 21)]
+    for eta, K in shapes + [(200, 200), (200, 7), (7, 200)]:
+        rep = plan_schedule(eta, K, "final")
+        k1 = min(eta, K)
+        assert rep.schedule.cycle_steps == ((k1,) if k1 >= 2 else ()), (eta, K)
+        assert rep.value == max(eta - K + 1, 1)
 
 
 def test_plan_two_blocks_one_step():
@@ -231,7 +240,7 @@ def test_min_single_close_reaching_full_pooling():
         reached = [
             k1
             for k1 in range(2, eta + 1)
-            if structured_schedule(eta, eta, 1, (k1,)).trajectory()[-1] == 1
+            if structured_schedule(eta, eta, (k1,)).trajectory()[-1] == 1
         ]
         assert min(reached) == eta
 
@@ -240,7 +249,7 @@ def test_dp_matches_close_vector_enumeration():
     for eta, K in ((3, 5), (4, 7), (6, 9)):
         obj = make_objective("sum", eta, K)
         best = min(
-            obj.total(structured_schedule(eta, K, len(k), k).trajectory())
+            obj.total(structured_schedule(eta, K, k).trajectory())
             for k in all_close_vectors(eta, K)
         )
         assert plan_schedule(eta, K, "sum").value == best
@@ -274,7 +283,7 @@ def test_scaling_of_close_count_and_value():
         K = eta + math.ceil(math.sqrt(eta)) + 1
         rep = plan_schedule(eta, K, "sum")
         obj = make_objective("sum", eta, K)
-        single = structured_schedule(eta, K, 1, (eta,))
+        single = structured_schedule(eta, K, (eta,))
         rows.append((eta, rep.schedule.p, rep.value, obj.total(single.trajectory())))
     assert [(r[1], r[2]) for r in rows] == [(2, 15), (3, 63), (5, 181), (6, 419)]
     for (e1, p1, v1, c1), (e2, p2, v2, c2) in zip(rows, rows[1:]):
