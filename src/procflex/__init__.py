@@ -34,7 +34,6 @@ from .errors import (
 from .core import (
     Assignment,
     ProblemInstance,
-    check_assignment,
     find_feasible_point,
     format_rational,
     gcd_combined,

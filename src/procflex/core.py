@@ -13,21 +13,23 @@ Vertices are 1-indexed.  Demand indices live in [1, m], supply indices in
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 import random
 import re
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
+from . import native
 from .errors import (
     DuplicateEdge,
     EdgeOutOfRange,
     Infeasible,
     NegativeRate,
-    NotFeasiblePoint,
     UnbalancedTotals,
     ZeroVector,
 )
@@ -175,10 +177,17 @@ def validate_instance(raw: Mapping) -> ProblemInstance:
         raise ValueError(f"instance document missing field: {exc}") from exc
     if not _is_int(m) or not _is_int(n) or m < 1 or n < 1:
         raise ValueError("m and n must be positive integers")
+    # a string has a len() too: "11" must not read as two rates
+    for key, value in (("demand", demand_raw), ("supply", supply_raw), ("edges", edges_raw)):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, not {type(value).__name__}")
     if len(demand_raw) != m:
         raise ValueError(f"demand has {len(demand_raw)} entries, expected m={m}")
     if len(supply_raw) != n:
         raise ValueError(f"supply has {len(supply_raw)} entries, expected n={n}")
+    for e in edges_raw:
+        if not isinstance(e, list):
+            raise ValueError(f"edge entries must be lists: {e!r}")
     demand = tuple(parse_rational(v) for v in demand_raw)
     supply = tuple(parse_rational(v) for v in supply_raw)
     return make_instance(demand, supply, [tuple(e) for e in edges_raw], m=m, n=n)
@@ -257,22 +266,6 @@ class Assignment:
         return frozenset(self.entries)
 
 
-def check_assignment(inst: ProblemInstance, x: Assignment) -> None:
-    """Raise NotFeasiblePoint unless x lies in the instance's polytope."""
-    if x.m != inst.m or x.n != inst.n:
-        raise NotFeasiblePoint("assignment shape does not match instance")
-    stray = x.support() - inst.edges
-    if stray:
-        raise NotFeasiblePoint(f"support outside edge set: {sorted(stray)}")
-    for v in x.entries.values():
-        if v < 0:
-            raise NotFeasiblePoint("negative entry")
-    if x.row_sums() != inst.demand:
-        raise NotFeasiblePoint("row sums do not match demand")
-    if x.col_sums() != inst.supply:
-        raise NotFeasiblePoint("column sums do not match supply")
-
-
 def gcd_combined(demand: Sequence, supply: Sequence) -> Fraction:
     """Largest rational c such that every rate is an integer multiple of c."""
     values = [parse_rational(v) for v in demand] + [parse_rational(v) for v in supply]
@@ -304,6 +297,18 @@ def _scaled(value: Fraction, scale: int) -> int:
 # arcs already carry, so a caller that lowers a capacity after draining the
 # flow through it can solve again from the rest of the old flow.
 #
+# max_flow() runs the whole loop in one call of a small C function
+# (_DINIC_SOURCE, built by `native`) over int64 copies of the arcs: a CSR
+# adjacency, arc_to and a work buffer, laid out once per network and again
+# only when add_arc has added arcs since, and res, copied in and back per
+# call.  It scans arcs and runs the DFS in the same order as the Python loop
+# (_levels, _blocking_flow), so res comes back identical list for list, and
+# so does everything read off it.  Every arc capacity is at most inf and
+# res[a] + res[a ^ 1] is the capacity of arc a, so every residual, every
+# push and the flow value stay within [0, inf]: the C loop runs when inf fits
+# in int64.  Past that, or where no library can be built, the Python loop
+# runs.
+#
 # _Transport builds the transportation network on it.  Node layout: 0 =
 # source, 1..m = demands, m+1..m+n = supplies, m+n+1 = sink.  Arc (demand i
 # -> supply j) carries x_ij.  Every rate is scaled by the LCM of the rate
@@ -316,20 +321,111 @@ def _scaled(value: Fraction, scale: int) -> int:
 # different feasible points.
 # ---------------------------------------------------------------------------
 
+_DINIC_SOURCE = r"""
+#include <stdint.h>
+
+/* Augment the flow in res to a maximum one; returns the value added.  The
+   arcs out of node u are arcs[start[u]:start[u + 1]]; work holds 4n int64. */
+int64_t dinic(int64_t n, int64_t source, int64_t sink, const int64_t *start,
+              const int64_t *arcs, const int64_t *to, int64_t *res,
+              int64_t *work)
+{
+    int64_t *level = work, *queue = work + n, *pointer = work + 2 * n;
+    /* node levels rise along the path, so it has fewer than n arcs */
+    int64_t *path = work + 3 * n;
+    int64_t added = 0;
+    for (;;) {
+        for (int64_t v = 0; v < n; v++)
+            level[v] = -1;
+        level[source] = 0;
+        queue[0] = source;
+        for (int64_t head = 0, tail = 1; head < tail && level[sink] < 0; head++) {
+            int64_t u = queue[head], d = level[u] + 1;
+            for (int64_t k = start[u]; k < start[u + 1]; k++) {
+                int64_t a = arcs[k], v = to[a];
+                if (level[v] < 0 && res[a] > 0) {
+                    level[v] = d;
+                    if (v == sink)
+                        break;
+                    queue[tail++] = v;
+                }
+            }
+        }
+        if (level[sink] < 0)
+            return added;
+        for (int64_t v = 0; v < n; v++)
+            pointer[v] = start[v];
+        int64_t len = 0, u = source;
+        for (;;) {
+            if (u == sink) {
+                int64_t f = res[path[0]], k = 0;
+                for (int64_t i = 1; i < len; i++)
+                    if (res[path[i]] < f)
+                        f = res[path[i]];
+                for (int64_t i = 0; i < len; i++) {
+                    res[path[i]] -= f;
+                    res[path[i] ^ 1] += f;
+                }
+                added += f;
+                while (res[path[k]] != 0)
+                    k++;
+                len = k;
+                u = len ? to[path[len - 1]] : source;
+                continue;
+            }
+            int64_t k = pointer[u], end = start[u + 1], want = level[u] + 1;
+            while (k < end && !(res[arcs[k]] > 0 && level[to[arcs[k]]] == want))
+                k++;
+            pointer[u] = k;
+            if (k < end) {
+                path[len++] = arcs[k];
+                u = to[arcs[k]];
+                continue;
+            }
+            if (u == source)
+                break;
+            level[u] = -1;
+            u = to[path[--len] ^ 1];
+            pointer[u]++;
+        }
+    }
+}
+"""
+
+
+@cache
+def _dinic():
+    """The compiled Dinic loop, or None where it cannot be built or loaded
+    (see `native.load`), in which case the Python loop runs."""
+    lib = native.load("dinic", _DINIC_SOURCE)
+    if lib is None:
+        return None
+    fn = lib.dinic
+    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+_INT64_MAX = (1 << 63) - 1
+
 FREE, IN, OUT = 0, 1, 2
 
 
 class _Network:
-    def __init__(self, n_nodes: int, source: int, sink: int):
+    def __init__(self, n_nodes: int, source: int, sink: int, inf: int):
         self.n_nodes = n_nodes
         self.source = source
         self.sink = sink
+        # no arc capacity exceeds inf
+        self.inf = inf
         self.arc_to: list[int] = []
         # residual capacities; arc a ^ 1 is the reverse of arc a
         self.res: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
         # value of the flow the arcs carry
         self.flow = 0
+        # (arc count, int64 buffers, their addresses) for the C loop
+        self._layout: tuple = (-1,)
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         a = len(self.arc_to)
@@ -402,11 +498,31 @@ class _Network:
 
     def max_flow(self) -> int:
         """Augment the current flow to a maximum one; returns its value."""
-        while True:
-            level = self._levels()
-            if level[self.sink] < 0:
-                return self.flow
-            self.flow += self._blocking_flow(level)
+        dinic = _dinic() if self.inf <= _INT64_MAX else None
+        if dinic is None:
+            while True:
+                level = self._levels()
+                if level[self.sink] < 0:
+                    return self.flow
+                self.flow += self._blocking_flow(level)
+        if self._layout[0] != len(self.arc_to):
+            self._layout = self._csr()
+        start, arcs, to, work = self._layout[2]
+        res = array("q", self.res)
+        self.flow += dinic(self.n_nodes, self.source, self.sink, start, arcs, to,
+                           res.buffer_info()[0], work)
+        self.res[:] = res.tolist()
+        return self.flow
+
+    def _csr(self) -> tuple:
+        """The C loop's layout of the arcs as they are now."""
+        start, arcs = [0], []
+        for out in self.adj:
+            arcs += out
+            start.append(len(arcs))
+        bufs = (array("q", start), array("q", arcs), array("q", self.arc_to),
+                array("q", bytes(32 * self.n_nodes)))
+        return len(self.arc_to), bufs, [b.buffer_info()[0] for b in bufs]
 
     def sink_blocked(self) -> list[bool]:
         """Nodes with no residual path to the sink.  After max_flow() they
@@ -436,10 +552,10 @@ class _Transport(_Network):
 
     def __init__(self, inst: ProblemInstance, order_seed: int = 0):
         m, n = inst.m, inst.n
-        super().__init__(m + n + 2, 0, m + n + 1)
+        scale = _denominator_lcm(inst.demand + inst.supply)
+        super().__init__(m + n + 2, 0, m + n + 1, 2 * _scaled(inst.total, scale) + 1)
         self.inst = inst
-        self.scale = scale = _denominator_lcm(inst.demand + inst.supply)
-        self.inf = 2 * _scaled(inst.total, scale) + 1
+        self.scale = scale
         self.source_arc = [-1] + [self.add_arc(0, i, _scaled(inst.demand[i - 1], scale))
                                   for i in range(1, m + 1)]
         self.sink_arc: dict[int, int] = {}

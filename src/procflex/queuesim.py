@@ -22,14 +22,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .core import ProblemInstance, parse_rational
 from .decomposition import crp_decomposition
 from .errors import (
@@ -217,9 +216,8 @@ class _RepAccum:
         for cols in self.comp_cols:
             if len(cols) == 1:
                 continue
-            block = w[:, cols]
-            s1 = block.sum(axis=1)
-            perp_sq += (block * block).sum(axis=1) - s1 * s1 / len(cols)
+            s1 = w[:, cols].sum(axis=1)
+            perp_sq += sq[:, cols].sum(axis=1) - s1 * s1 / len(cols)
         # clamp tiny negatives from cancellation before the square root
         np.maximum(perp_sq, 0.0, out=perp_sq)
         self.sum_perp += float(np.sqrt(perp_sq).sum())
@@ -271,60 +269,22 @@ void maxweight_steps(int64_t length, int64_t m, int64_t k_multi,
     }
 }
 """
-_CC = ("cc", "-O2", "-shared", "-fPIC")
 
 
-def _load(directory: str):
-    """The kernel from ``directory``, compiled there first when absent, or
-    None when it cannot be built or loaded.  The library is named by the
-    hash of its source and compiler command and renamed into place once
-    complete, so a partial build is never loaded."""
-    # imported here: verbs that never simulate do not pay for them at start-up
-    import hashlib
-    import subprocess
-
-    digest = hashlib.sha256(" ".join([*_CC, _KERNEL_SOURCE]).encode()).hexdigest()[:16]
-    target = os.path.join(directory, f"maxweight-{digest}.so")
-    try:
-        if not os.path.exists(target):
-            os.makedirs(directory, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=directory) as tmp:
-                source = os.path.join(tmp, "maxweight.c")
-                with open(source, "w", encoding="ascii") as fh:
-                    fh.write(_KERNEL_SOURCE)
-                built = os.path.join(tmp, "maxweight.so")
-                subprocess.run([*_CC, "-o", built, source], check=True,
-                               capture_output=True, timeout=300)
-                os.replace(built, target)
-        fn = ctypes.CDLL(target).maxweight_steps
-    except (OSError, subprocess.SubprocessError):
+@functools.cache
+def _kernel():
+    """The compiled MaxWeight step loop, or None where it cannot be built or
+    loaded (see `native.load`), in which case the Python loop runs."""
+    lib = native.load("maxweight", _KERNEL_SOURCE)
+    if lib is None:
         return None
+    fn = lib.maxweight_steps
     ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
     floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     fn.argtypes = [ctypes.c_int64] * 3 + [ints, floats, ints, ints, ints, ints] + [out] * 4
     fn.restype = None
     return fn
-
-
-@functools.cache
-def _kernel():
-    """The compiled MaxWeight step loop, or None where it cannot be built or
-    loaded (no C compiler, say), in which case the Python loop runs.
-
-    The library is cached in $XDG_CACHE_HOME/procflex (by default
-    ~/.cache/procflex).  When that fails it is built in a private directory
-    of the system temp dir, removed once the library is loaded.
-    """
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    kernel = _load(os.path.join(cache, "procflex")) if os.path.isabs(cache) else None
-    if kernel is None:
-        try:
-            with tempfile.TemporaryDirectory(prefix="procflex-") as tmp:
-                kernel = _load(tmp)
-        except OSError:
-            pass
-    return kernel
 
 
 def _python_steps(arrivals, ties, base, off, cand, mu, q, qarr) -> None:

@@ -18,7 +18,6 @@ from typing import Sequence
 from procflex.core import (
     Assignment,
     ProblemInstance,
-    check_assignment,
     find_feasible_point,
     make_instance,
 )
@@ -28,6 +27,7 @@ from procflex.errors import (
     GapUndefined,
     Infeasible,
     NotAPartition,
+    NotFeasiblePoint,
     SizeLimitExceeded,
     UnbalancedTotals,
 )
@@ -671,6 +671,22 @@ def gap_redundancy_invariance(inst: ProblemInstance) -> bool:
     kept = frozenset(inst.edges) - crp_decomposition(inst).redundant_edges
     stripped = crp_gap(inst.restricted(kept))
     return base.crp_gap == stripped.crp_gap
+
+
+def check_assignment(inst: ProblemInstance, x: Assignment) -> None:
+    """Raise NotFeasiblePoint unless x lies in the instance's polytope."""
+    if x.m != inst.m or x.n != inst.n:
+        raise NotFeasiblePoint("assignment shape does not match instance")
+    stray = x.support() - inst.edges
+    if stray:
+        raise NotFeasiblePoint(f"support outside edge set: {sorted(stray)}")
+    for v in x.entries.values():
+        if v < 0:
+            raise NotFeasiblePoint("negative entry")
+    if x.row_sums() != inst.demand:
+        raise NotFeasiblePoint("row sums do not match demand")
+    if x.col_sums() != inst.supply:
+        raise NotFeasiblePoint("column sums do not match supply")
 
 
 def is_extreme_point(inst: ProblemInstance, x: Assignment) -> bool:

@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 from procflex import (
-    check_assignment,
     check_perturbation,
     crp_decomposition,
     crp_gap,
@@ -33,7 +32,7 @@ from procflex.cli import main
 from procflex.planning import erp_trajectory
 
 from .conftest import braess_instance, diagonal_instance, random_feasible_instance
-from .oracles import gap_by_definition, redundancy_oracle
+from .oracles import check_assignment, gap_by_definition, redundancy_oracle
 from .test_design import random_rates
 
 _CACHE: dict[str, object] = {}

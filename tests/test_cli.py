@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -124,6 +125,19 @@ def test_exit_codes_for_bad_documents(files, capsys, tmp_path):
         path.write_text(text)
         code, out, err = run(capsys, "validate", str(path))
         assert code == 2 and out == "" and json.loads(err)["error"] == "DocumentError"
+
+    # a string has a len() too: none of these may be read character by character
+    for name, text in (
+        ("string_rates", '{"m":2,"n":2,"demand":"11","supply":"11","edges":[[1,1],[2,2]]}'),
+        ("string_supply", '{"m":2,"n":2,"demand":[1,1],"supply":"11","edges":[[1,1],[2,2]]}'),
+        ("string_edges", '{"m":2,"n":2,"demand":[1,1],"supply":[1,1],"edges":"12"}'),
+        ("string_edge", '{"m":2,"n":2,"demand":[1,1],"supply":[1,1],"edges":["11",[2,2]]}'),
+        ("object_edge", '{"m":1,"n":1,"demand":[1],"supply":[1],"edges":[{"1":1,"2":1}]}'),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == "" and json.loads(err)["error"] == "DocumentError", name
 
     not_json = tmp_path / "noise.json"
     not_json.write_text("demand: 3")
@@ -371,6 +385,8 @@ def test_verify_rejects_malformed_envelopes(files, capsys, tmp_path):
         ({**design, "options": {}}, 2),  # no erp
         ({**design, "command": "gap", "options": []}, 2),  # options not an object
         ({**design, "command": "validate", "input": None}, 2),  # no instance
+        ({**design, "input": {**TWO, "demand": "11", "supply": "11"}}, 2),
+        ({**design, "input": {**TWO, "edges": [[1, 1], "22"]}}, 2),
         ({**design, "seed": "0"}, 2),
         ({**design, "command": "verify"}, 2),
         ({k: v for k, v in design.items() if k != "result"}, 2),
@@ -484,6 +500,29 @@ def test_cli_import_leaves_subprocess_and_hashlib_unloaded():
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_validate_on_a_cached_library_leaves_subprocess_unloaded(tmp_path):
+    # the first run builds the Dinic library; a later cold start only loads it
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    doc = tmp_path / "two.json"
+    doc.write_text(json.dumps(TWO))
+    code = (
+        "import sys; from procflex import cli, core; code = cli.main(['validate', sys.argv[1]]);"
+        " print(code, core._dinic.cache_info().misses, core._dinic() is not None,"
+        " 'subprocess' in sys.modules, file=sys.stderr)"
+    )
+    lines = []
+    for _ in range(2):
+        run = subprocess.run([sys.executable, "-c", code, str(doc)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        lines.append(run.stderr)
+    # validate loaded the Dinic library; only the cache miss built it
+    assert lines == ["0 1 True True\n", "0 1 True False\n"]
 
 
 @functools.cache

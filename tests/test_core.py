@@ -1,5 +1,10 @@
+import io
+import json
 import random
+import shutil
+import tempfile
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -7,11 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import procflex as pf
-from procflex.core import check_assignment
+from procflex import core, native
+from procflex.cli import main
+from procflex.core import FREE, IN, OUT, _Transport
+from procflex.robustness import _alt_chains, _chain_cuts, _gap_chains
 
-from .conftest import random_feasible_instance
+from .conftest import (
+    planted_block_instance,
+    random_feasible_instance,
+    random_instance_with_zero_rates,
+)
 from . import oracles
-from .oracles import _forest_components, hall_feasible, is_extreme_point
+from .oracles import _forest_components, check_assignment, hall_feasible, is_extreme_point
 
 
 def test_validate_minimal_identity():
@@ -51,6 +63,24 @@ def test_validate_rejects_fractional_edge_index():
         pf.validate_instance(
             {"m": 2, "n": 2, "demand": [1, 1], "supply": [1, 1], "edges": [[1.5, 1], [2, 2]]}
         )
+
+
+def test_validate_rejects_strings_and_objects_where_lists_belong():
+    good = {"m": 2, "n": 2, "demand": [1, 1], "supply": [1, 1], "edges": [[1, 1], [2, 2]]}
+    for change in (
+        {"demand": "11"},
+        {"supply": "11"},
+        {"demand": "11", "supply": "11"},
+        {"demand": (1, 1)},
+        {"edges": "12"},
+        {"edges": {"1": 1, "2": 2}},
+        {"edges": [[1, 1], "22"]},
+        {"edges": [[1, 1], (2, 2)]},
+        {"edges": [{"1": 1, "2": 1}, [2, 2]]},
+    ):
+        with pytest.raises(ValueError, match="list"):
+            pf.validate_instance({**good, **change})
+    assert pf.validate_instance(good).demand == (1, 1)
 
 
 def test_validate_rejects_boolean_sizes():
@@ -264,3 +294,137 @@ def test_feasible_point_matches_vertex_hull(seed):
     for v in verts:
         support_union.update(v.support())
     assert x.support() <= support_union
+
+
+# ---------------------------------------------------------------------------
+# The compiled Dinic loop against the Python loop it replaces
+
+
+def flow_loops(monkeypatch):
+    """Select the compiled Dinic loop, then the Python loop that replaces it
+    where no C compiler is found; yields each loop's name."""
+    if shutil.which("cc") is not None:
+        assert core._dinic() is not None
+    for name, dinic in (("compiled", core._dinic()), ("python", None)):
+        monkeypatch.setattr(core, "_dinic", lambda: dinic)
+        yield name
+
+
+def solves(inst, order_seed, forcings):
+    """Flow value and residuals after the first solve and after each forcing."""
+    net = _Transport(inst, order_seed=order_seed)
+    out = [(net.max_flow(), list(net.res))]
+    for i, mode in forcings:
+        net.force(i, mode)
+        out.append((net.max_flow(), list(net.res)))
+    return out
+
+
+def test_flow_loops_leave_identical_residuals(monkeypatch):
+    rng = random.Random(1606)
+    insts = [planted_block_instance(rng, m)[0] for m in (6, 20, 45, 120) for _ in range(3)]
+    insts += [random_feasible_instance(rng, 7, 7, 4, denominators=(1, 2, 3, 5))
+              for _ in range(10)]
+    insts += [random_instance_with_zero_rates(rng, 6, 6, 4) for _ in range(10)]
+    # graphs that cannot route every demand
+    insts += [inst.restricted(e for e in inst.sorted_edges if rng.random() < 0.7)
+              for inst in insts[-20:]]
+    assert not all(pf.is_feasible(inst) for inst in insts)
+    cases = [
+        (inst, seed, [(rng.randint(1, inst.m), rng.choice((FREE, IN, OUT)))
+                      for _ in range(rng.randint(0, 8))])
+        for inst in insts for seed in range(4)
+    ]
+    runs = [[solves(*case) for case in cases] for _loop in flow_loops(monkeypatch)]
+    assert runs[0] == runs[1]
+
+
+def test_flow_loops_agree_on_warm_started_constrained_cuts(monkeypatch):
+    rng = random.Random(1607)
+    insts = [planted_block_instance(rng, m, max_block=4)[0] for m in (8, 12, 30) for _ in range(4)]
+
+    def cuts():
+        out = []
+        for inst in insts:
+            dec = pf.crp_decomposition(inst)
+            chains = list(_gap_chains(dec)) + list(_alt_chains(dec))
+            out += [(value, net.flow, list(net.res), net.sink_blocked())
+                    for value, net in _chain_cuts(inst, chains)]
+        return out
+
+    runs = [cuts() for _loop in flow_loops(monkeypatch)]
+    assert runs[0] == runs[1]
+    assert len(runs[0]) >= 100
+
+
+def test_flow_past_int64_runs_the_python_loop(monkeypatch):
+    # rates 1/p for the primes to 53: scale x total is about 2^65
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    rates = [Fraction(1, p) for p in primes]
+    edges = ([(i, i) for i in range(1, 17)] + [(i, i % 6 + 1) for i in range(1, 7)]
+             + [(i, i + 1) for i in range(6, 16)])
+    inst = pf.make_instance(rates, rates, edges)
+    assert _Transport(inst).inf > 2**63 - 1
+    monkeypatch.setattr(core, "_dinic", lambda: pytest.fail("the C loop cannot hold inf"))
+    dec = pf.crp_decomposition(inst)
+    # one block on the 6-cycle, ten singletons along the chain
+    assert dec.demand_labels == (1,) * 6 + tuple(range(2, 12))
+    assert dec.supply_labels == dec.demand_labels
+    assert dec.redundant_edges == {(i, i + 1) for i in range(6, 16)}
+    assert sorted(dec.dag.edges) == [(b, b + 1) for b in range(1, 11)]
+    assert dict(pf.find_feasible_point(inst).entries) == {(i, i): r for i, r in enumerate(rates, 1)}
+
+
+def test_flow_loop_choice_at_the_int64_boundary(monkeypatch):
+    # inf = 2 x total + 1 is 2^63 - 1 at the first total and 2^63 + 1 at the second
+    called = []
+    dinic = core._dinic()
+    monkeypatch.setattr(core, "_dinic", lambda: called.append(1) or dinic)
+    for total, native_loop in ((2**62 - 1, True), (2**62, False)):
+        called.clear()
+        inst = pf.make_instance([total - 1, 1], [1, total - 1], [(1, 1), (1, 2), (2, 2)])
+        net = _Transport(inst)
+        assert net.max_flow() == total
+        assert net.res[net.edge_arc[(1, 1)] ^ 1] == 1
+        assert bool(called) == native_loop
+
+
+def envelopes(paths):
+    argvs = [["validate", paths[0]], ["augment", "--best", paths[0]],
+             ["augment", "--edge", "1,4", paths[1]], ["gap", paths[1]]]
+    argvs += [["decompose", path, "--seed", str(seed)] for path in paths for seed in range(4)]
+    out = []
+    for argv in argvs:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(argv)
+        out.append((code, buf.getvalue()))
+    return out
+
+
+@pytest.mark.parametrize("failure", ["no compiler", "cache unwritable", "no writable dir"])
+def test_failed_dinic_build_falls_back(failure, monkeypatch, tmp_path):
+    rng = random.Random(1608)
+    paths = []
+    for m in (40, 12):
+        path = tmp_path / f"pooled{m}.json"
+        path.write_text(json.dumps(planted_block_instance(rng, m)[0].to_dict()))
+        paths.append(str(path))
+    expected = envelopes(paths)
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    if failure == "no compiler":
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(native, "_CC", ("procflex-missing-cc",))
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+    if failure == "no writable dir":
+        monkeypatch.setattr(tempfile, "tempdir", str(blocker))
+    core._dinic.cache_clear()
+    try:
+        # only an unwritable cache leaves the temp dir to build in
+        built = failure == "cache unwritable" and shutil.which("cc") is not None
+        assert (core._dinic() is not None) == built
+        assert envelopes(paths) == expected
+    finally:
+        core._dinic.cache_clear()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import procflex as pf
 from procflex import core, decomposition
-from procflex.core import check_assignment
 
 from .conftest import (
     planted_block_instance,
@@ -16,6 +15,7 @@ from .conftest import (
 )
 from . import oracles
 from .oracles import (
+    check_assignment,
     full_support_point,
     redundancy_oracle,
     sub_instance,

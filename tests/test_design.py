@@ -11,7 +11,6 @@ from procflex import (
     TargetAboveDstarStar,
     UnbalancedTotals,
     ZeroVector,
-    check_assignment,
     crp_decomposition,
     d_star,
     design_flexibility,
@@ -21,6 +20,7 @@ from procflex import (
 )
 
 from .oracles import (
+    check_assignment,
     erp_of_edge_set,
     exhaustive_erp_search,
     exhaustive_tree_crp_exists,

@@ -23,7 +23,7 @@ from procflex import (
     make_instance,
     simulate,
 )
-from procflex import queuesim
+from procflex import native, queuesim
 from procflex.cli import main
 from procflex.decomposition import crp_decomposition
 from procflex.core import ProblemInstance
@@ -357,7 +357,7 @@ def test_failed_kernel_build_falls_back(failure, monkeypatch, tmp_path):
     blocker.write_text("")
     if failure == "no compiler":
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(queuesim, "_CC", ("procflex-missing-cc",))
+        monkeypatch.setattr(native, "_CC", ("procflex-missing-cc",))
     else:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
     if failure == "no writable dir":
