@@ -47,14 +47,14 @@ from .robustness import gap_and_checks
 SCHEMA_VERSION = 1
 
 # Most steps (horizon x reps x eps values) one simulate request may ask for.
-# The compiled MaxWeight step loop runs it in about 8 s on a 4x4 graph (6.7M
-# steps/s measured, Python 3.11, one core) and a minute on the 20-chain (770k
-# steps/s).  The limit stays where the Python loop that replaces the kernel
-# without a C compiler finishes: about three minutes on a 4x4 graph (276k
-# steps/s).  Graphs whose servers each serve one queue run that loop too:
-# 230k steps/s on the 4x4 diagonal, against 200k on the four-pair graph in
-# the same run (Python 3.11, 2 vCPUs).  The largest sweep in the test suite
-# (gate 07) fits.
+# The compiled MaxWeight step loop runs it in about 3 s on a 4x4 graph (16.4M
+# steps/s on the four-pair graph, 34M on the 4x4 diagonal) and half a minute
+# on the 20-chain (1.6M steps/s), measured on two-eps, two-replication sweeps
+# (Python 3.11, one core of a 2-vCPU VM).  The limit stays where the Python
+# loop that replaces the kernel without a C compiler finishes: about three
+# and a half minutes on the four-pair graph (246k steps/s), 2.5 minutes on
+# the 4x4 diagonal (336k) and 15 minutes on the 20-chain (55k), in the same
+# run.  The largest sweep in the test suite (gate 07) fits.
 MAX_SIM_STEPS = 50_000_000
 
 

@@ -13,7 +13,10 @@ import ctypes
 import os
 import tempfile
 
-_CC = ("cc", "-O2", "-shared", "-fPIC")
+# -ffp-contract=off: no floating-point multiply and add is fused into an FMA
+# (GCC fuses by default on some targets, aarch64 among them), so the C loops
+# round every operation as numpy and the Python loops do.
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _build(directory: str, name: str, source: str) -> ctypes.CDLL | None:

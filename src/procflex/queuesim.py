@@ -10,11 +10,19 @@ should collapse onto the span of the block indicators.
 
 Randomness is counter-based: every (replication, purpose, queue-or-server)
 triple owns a Philox stream keyed by the seed, and draws are indexed by step,
-so results are bit-reproducible and independent of evaluation order.
+so results are bit-reproducible and independent of evaluation order.  The
+keys do not involve eps, so a sweep's eps values share each replication's
+streams: a replication draws each chunk's uniforms once and runs every eps
+value on them side by side (common random numbers across loads).
 
 Every campaign runs its steps chunk by chunk in a small C loop compiled on
-first use (`_kernel`); where it cannot be built, the same loop runs in
-Python.  Both give identical results.
+first use (`_kernel`), which also thresholds the uniforms into arrivals.  A
+second C function sums the post-warmup rows for the accumulator whenever
+every integer it forms is exact in a double ((m * qmax)^2 and rows * qmax
+below 2^53, qmax the chunk's largest queue value).  Other chunks take
+`_RepAccum.add`, the same sums in numpy.  Where the library cannot be built,
+the steps run in a Python loop and every chunk takes `_RepAccum.add`.  All
+paths give identical results.
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ from .errors import (
 )
 
 _CHUNK = 1 << 15
+# Most queue values (queues x min(horizon, _CHUNK)) one chunk may hold.  At
+# the cap a chain sweep peaks at about 130 MB RSS on the compiled path, 220 MB
+# when every chunk takes _RepAccum.add and 510 MB on the Python loop (Python
+# 3.11, numpy 2.4); 1000 queues at a full chunk took 0.8-1.2 GB.
+MAX_CHUNK_CELLS = 1 << 22
 # a stream key holds the queue or server index in its low 20 bits
 _MAX_VERTICES = 1 << 20
 _ARRIVAL_STREAM = 1
@@ -223,26 +236,38 @@ class _RepAccum:
         self.sum_perp += float(np.sqrt(perp_sq).sum())
         self.samples += qarr.shape[0]
 
+    def add_rows(self, colsum: np.ndarray, norm: np.ndarray, perp: np.ndarray) -> None:
+        """What add() adds, from `row_sums`' column sums and per-row norms."""
+        self.sum_q += colsum
+        self.sum_norm += float(norm.sum())
+        self.sum_perp += float(perp.sum())
+        self.samples += len(norm)
 
-def _arrival_chunk(gens, probs_f, levels, length: int) -> np.ndarray:
-    """One chunk of arrivals as a C-contiguous (length, m) int64 array."""
-    out = np.empty((length, len(gens)), dtype=np.int64)
-    for i, (g, p, l) in enumerate(zip(gens, probs_f, levels)):
-        np.multiply(g.random(length) < p, l, out=out[:, i])
-    return out
 
-
-# One MaxWeight slot per row t: multi-queue server k gives mu[k] to a longest
-# queue among cand[off[k]:off[k+1]], a tie taking tied[(int)(u * count)] for
-# its draw u, exactly as the Python loop below; then q = max(q + a - s, 0).
-# simulate() refuses runs whose queue lengths could leave int64.
+# One MaxWeight slot per step t of a chunk of `length` steps.  Queue i's
+# arrival is level[i] when its uniform u[i * length + t] is below p[i], else
+# 0.  Multi-queue server k gives mu[k] to a longest queue among
+# cand[off[k]:off[k + 1]], a tie taking tied[(int)(w * count)] for its draw
+# w = ties[k * length + t], exactly as the Python loop below; then
+# q = max(q + a - s, 0).  The arrival test and the longest-queue test are
+# taken as bit masks, not branches: on random data a branch is mispredicted
+# often.  simulate() refuses runs whose queue lengths could leave int64.
+#
+# row_sums gives, for rows x m queue values, the column sums and each row's
+# sqrt(sum q^2) and sqrt(max(perp^2, 0)), perp^2 summed from 0.0 block by
+# block (singletons skipped) as _RepAccum.add does.  When (m * qmax)^2 and
+# rows * qmax are below 2^53 every integer it forms is exact in a double, so
+# its values equal _RepAccum.add's bit for bit; otherwise it returns 0
+# without writing and the caller takes _RepAccum.add.  94906265 is the
+# largest x with x^2 < 2^53; dividing the bounds avoids int64 overflow.
 _KERNEL_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 void maxweight_steps(int64_t length, int64_t m, int64_t k_multi,
-                     const int64_t *arrivals, const double *ties,
-                     const int64_t *base, const int64_t *off,
-                     const int64_t *cand, const int64_t *mu,
+                     const double *u, const double *p, const int64_t *level,
+                     const double *ties, const int64_t *base,
+                     const int64_t *off, const int64_t *cand, const int64_t *mu,
                      int64_t *q, int64_t *s, int64_t *tied, int64_t *qarr)
 {
     for (int64_t t = 0; t < length; t++) {
@@ -252,52 +277,93 @@ void maxweight_steps(int64_t length, int64_t m, int64_t k_multi,
             int64_t best = -1, count = 0;
             for (int64_t c = off[k]; c < off[k + 1]; c++) {
                 int64_t qi = q[cand[c]];
-                if (qi > best) {
-                    best = qi;
-                    count = 0;
-                }
-                if (qi == best)
-                    tied[count++] = cand[c];
+                int64_t longer = -(int64_t)(qi > best);
+                best += (qi - best) & longer;
+                count &= ~longer;
+                tied[count] = cand[c];
+                count += qi == best;
             }
-            s[tied[(int64_t)(ties[t * k_multi + k] * (double)count)]] += mu[k];
+            s[tied[(int64_t)(ties[k * length + t] * (double)count)]] += mu[k];
         }
         for (int64_t i = 0; i < m; i++) {
-            int64_t x = q[i] + arrivals[t * m + i] - s[i];
+            int64_t a = level[i] & -(int64_t)(u[i * length + t] < p[i]);
+            int64_t x = q[i] + a - s[i];
             q[i] = x > 0 ? x : 0;
             qarr[t * m + i] = q[i];
         }
     }
+}
+
+int64_t row_sums(int64_t rows, int64_t m, const int64_t *qarr,
+                 int64_t n_blocks, const int64_t *block_off,
+                 const int64_t *block_cols, int64_t *colsum,
+                 double *norm, double *perp)
+{
+    if (rows < 1 || m < 1)
+        return 0;
+    int64_t qmax = 0;
+    for (int64_t x = 0; x < rows * m; x++)
+        if (qarr[x] > qmax)
+            qmax = qarr[x];
+    if (qmax > INT64_C(94906265) / m || qmax > ((INT64_C(1) << 53) - 1) / rows)
+        return 0;
+    for (int64_t i = 0; i < m; i++)
+        colsum[i] = 0;
+    for (int64_t t = 0; t < rows; t++) {
+        const int64_t *row = qarr + t * m;
+        int64_t s2 = 0;
+        for (int64_t i = 0; i < m; i++) {
+            colsum[i] += row[i];
+            s2 += row[i] * row[i];
+        }
+        norm[t] = sqrt((double)s2);
+        double acc = 0.0;
+        for (int64_t b = 0; b < n_blocks; b++) {
+            int64_t b1 = 0, b2 = 0;
+            for (int64_t c = block_off[b]; c < block_off[b + 1]; c++) {
+                int64_t v = row[block_cols[c]];
+                b1 += v;
+                b2 += v * v;
+            }
+            double d1 = (double)b1;
+            acc += (double)b2 - (d1 * d1) / (double)(block_off[b + 1] - block_off[b]);
+        }
+        perp[t] = sqrt(acc > 0.0 ? acc : 0.0);
+    }
+    return 1;
 }
 """
 
 
 @functools.cache
 def _kernel():
-    """The compiled MaxWeight step loop, or None where it cannot be built or
-    loaded (see `native.load`), in which case the Python loop runs."""
+    """The compiled library with `maxweight_steps` and `row_sums`, or None
+    where it cannot be built or loaded (see `native.load`), in which case the
+    Python loop runs.  Both take array addresses (`ndarray.ctypes.data`)."""
     lib = native.load("maxweight", _KERNEL_SOURCE)
     if lib is None:
         return None
-    fn = lib.maxweight_steps
-    ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    out = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
-    floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    fn.argtypes = [ctypes.c_int64] * 3 + [ints, floats, ints, ints, ints, ints] + [out] * 4
-    fn.restype = None
-    return fn
+    lib.maxweight_steps.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 12
+    lib.maxweight_steps.restype = None
+    lib.row_sums.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64] + [
+        ctypes.c_void_p] * 5
+    lib.row_sums.restype = ctypes.c_int64
+    return lib
 
 
-def _python_steps(arrivals, ties, base, off, cand, mu, q, qarr) -> None:
-    """The kernel's loop over one chunk, for where the kernel is missing."""
+def _python_steps(u, p, levels, ties, base, off, cand, mu, q, qarr) -> None:
+    """The kernel's loop over one chunk, for where the kernel is missing;
+    ``u`` and ``ties`` are (m, length) and (servers, length) views."""
     bounds = off.tolist()
     servers = list(zip((cand[a:b].tolist() for a, b in zip(bounds, bounds[1:])),
                        mu.tolist()))
     base_row = base.tolist()
     cur = q.tolist()
     rows = []
-    for a_row, u_row in zip(arrivals.tolist(), ties.tolist()):
+    arrivals = np.where(u < p[:, None], levels[:, None], 0)
+    for a_row, u_row in zip(arrivals.T.tolist(), ties.T.tolist()):
         s = base_row.copy()
-        for (candidates, muk), u in zip(servers, u_row):
+        for (candidates, muk), w in zip(servers, u_row):
             best = -1
             tied: list[int] = []
             for i in candidates:
@@ -307,7 +373,7 @@ def _python_steps(arrivals, ties, base, off, cand, mu, q, qarr) -> None:
                     tied = [i]
                 elif qi == best:
                     tied.append(i)
-            s[tied[int(u * len(tied))]] += muk
+            s[tied[int(w * len(tied))]] += muk
         cur = [max(qi + ai - si, 0) for qi, ai, si in zip(cur, a_row, s)]
         rows.append(cur)
     qarr[:] = rows
@@ -319,10 +385,13 @@ class _Campaign:
     """Checked arguments of one simulate call or heavy-traffic sweep, and
     what all of its runs share: the blocks and the service side.
 
-    ``base`` is the constant service of servers with one compatible queue;
-    the other servers with positive rate (``servers``, 0-based) are listed in
-    CSR form, server k choosing among ``cand[off[k]:off[k + 1]]`` with rate
-    ``mu[k]``.
+    ``probs[e]`` holds model e's arrival probabilities as floats and
+    ``levels`` the arrival levels, which no eps changes.  ``base`` is the
+    constant service of servers with one compatible queue; the other servers
+    with positive rate (``servers``, 0-based) are listed in CSR form, server
+    k choosing among ``cand[off[k]:off[k + 1]]`` with rate ``mu[k]``.  The
+    blocks of two or more queues are in CSR form too: block b's 0-based
+    queues are ``block_cols[block_off[b]:block_off[b + 1]]``.
     """
 
     models: tuple[ArrivalModel, ...]
@@ -332,11 +401,15 @@ class _Campaign:
     replications: int
     components: tuple[tuple[int, ...], ...]
     comp_cols: list[np.ndarray]
+    probs: np.ndarray
+    levels: np.ndarray
     base: np.ndarray
     servers: tuple[int, ...]
     off: np.ndarray
     cand: np.ndarray
     mu: np.ndarray
+    block_off: np.ndarray
+    block_cols: np.ndarray
 
 
 def _campaign(
@@ -379,6 +452,12 @@ def _campaign(
             f"horizon x sum of arrival levels + sum of service rates is {top};"
             f" queue lengths must stay below 2^63"
         )
+    cells = inst.m * min(horizon, _CHUNK)
+    if cells > MAX_CHUNK_CELLS:
+        raise SizeLimitExceeded(
+            f"queues x min(horizon, {_CHUNK}) is {cells}; a chunk of the"
+            f" simulator holds at most {MAX_CHUNK_CELLS} queue values"
+        )
 
     # a block without demands holds no queue
     components = tuple(comp.demands for comp in decomp.components if comp.demands)
@@ -391,54 +470,108 @@ def _campaign(
             servers.append(j)
             cand += [i - 1 for i in nbrs]
             off.append(len(cand))
+    comp_cols = [np.array([i - 1 for i in comp], dtype=np.intp) for comp in components]
+    pooled = [cols for cols in comp_cols if len(cols) > 1]
     return _Campaign(
         models=tuple(models), horizon=horizon, warmup=warmup, seed=seed,
-        replications=replications, components=components,
-        comp_cols=[np.array([i - 1 for i in comp], dtype=np.intp) for comp in components],
+        replications=replications, components=components, comp_cols=comp_cols,
+        probs=np.array([[float(p) for p in md.probs] for md in models]),
+        levels=np.array(models[0].levels, dtype=np.int64),
         base=base, servers=tuple(servers), off=np.array(off, dtype=np.int64),
         cand=np.array(cand, dtype=np.int64),
         mu=np.array([mu[j] for j in servers], dtype=np.int64),
+        block_off=np.cumsum([0] + [len(c) for c in pooled], dtype=np.int64),
+        block_cols=np.array([i for cols in pooled for i in cols], dtype=np.int64),
     )
 
 
-def _run_replication(camp: _Campaign, model: ArrivalModel, rep: int) -> _RepAccum:
-    """MaxWeight steps, one kernel call (or Python loop) per chunk."""
-    m = len(camp.base)
-    probs_f = [float(p) for p in model.probs]
+class _Chunk:
+    """The buffers a campaign's replications step through, allocated once,
+    with the addresses the C loops take.
+
+    A chunk of ``length`` steps keeps its uniforms in ``u[:length * m]``
+    read as an (m, length) array, one row per queue, and its tie draws
+    likewise in ``ties``, so that every stream fills a contiguous row;
+    ``q[e]`` is eps value e's queue vector, carried from chunk to chunk.
+    """
+
+    def __init__(self, camp: _Campaign):
+        m = len(camp.base)
+        width = min(_CHUNK, camp.horizon)
+        self.u = np.empty(width * m)
+        self.ties = np.empty(width * len(camp.servers))
+        self.q = np.zeros((len(camp.models), m), dtype=np.int64)
+        self.qarr = np.empty(width * m, dtype=np.int64)
+        self.s = np.empty(m, dtype=np.int64)
+        self.tied = np.empty(len(camp.cand), dtype=np.int64)
+        self.colsum = np.empty(m, dtype=np.int64)
+        self.norm = np.empty(width)
+        self.perp = np.empty(width)
+
+        def addr(a: np.ndarray) -> int:
+            return a.ctypes.data
+
+        # per eps value e: maxweight_steps' arguments after (length, m, k)
+        self.steps_args = [
+            tuple(map(addr, (self.u, p, camp.levels, self.ties, camp.base, camp.off,
+                             camp.cand, camp.mu, q, self.s, self.tied, self.qarr)))
+            for p, q in zip(camp.probs, self.q)
+        ]
+        self.qarr_addr = addr(self.qarr)
+        # row_sums' arguments after (rows, m, qarr)
+        self.sums_args = (len(camp.block_off) - 1, *map(addr, (
+            camp.block_off, camp.block_cols, self.colsum, self.norm, self.perp)))
+
+
+def _run_replication(camp: _Campaign, rep: int, chunk: _Chunk) -> list[_RepAccum]:
+    """One replication at every eps value of the campaign, side by side.
+
+    Stream keys do not involve eps, so each chunk's uniforms and tie draws
+    are drawn once and serve every eps value: one kernel call (or Python
+    loop) per eps and chunk, then one `row_sums` call (or `_RepAccum.add`)
+    for the post-warmup rows.
+    """
+    m, k = len(camp.base), len(camp.servers)
     arr_gens = [_stream(camp.seed, rep, _ARRIVAL_STREAM, i) for i in range(m)]
-    acc = _RepAccum(m, camp.comp_cols)
     tie_gens = [_stream(camp.seed, rep, _TIE_STREAM, j) for j in camp.servers]
-    kernel = _kernel()
-    q = np.zeros(m, dtype=np.int64)
-    s = np.empty(m, dtype=np.int64)
-    tied = np.empty(len(camp.cand), dtype=np.int64)
+    accs = [_RepAccum(m, camp.comp_cols) for _ in camp.models]
+    lib = _kernel()
+    chunk.q.fill(0)
     done = 0
     while done < camp.horizon:
         length = min(_CHUNK, camp.horizon - done)
-        arrivals = _arrival_chunk(arr_gens, probs_f, model.levels, length)
-        ties = np.empty((length, len(tie_gens)))
-        for k, g in enumerate(tie_gens):
-            ties[:, k] = g.random(length)
-        qarr = np.empty((length, m), dtype=np.int64)
-        if kernel is None:
-            _python_steps(arrivals, ties, camp.base, camp.off, camp.cand, camp.mu, q, qarr)
-        else:
-            kernel(length, m, len(tie_gens), arrivals, ties, camp.base, camp.off,
-                   camp.cand, camp.mu, q, s, tied, qarr)
-        acc.add(qarr[max(0, camp.warmup - done):])
+        u = chunk.u[:length * m].reshape(m, length)
+        ties = chunk.ties[:length * k].reshape(k, length)
+        for i, g in enumerate(arr_gens):
+            g.random(out=u[i])
+        for j, g in enumerate(tie_gens):
+            g.random(out=ties[j])
+        qarr = chunk.qarr[:length * m].reshape(length, m)
+        start = max(0, camp.warmup - done)
+        rows = length - start
+        for e, acc in enumerate(accs):
+            if lib is None:
+                _python_steps(u, camp.probs[e], camp.levels, ties, camp.base, camp.off,
+                              camp.cand, camp.mu, chunk.q[e], qarr)
+            else:
+                lib.maxweight_steps(length, m, k, *chunk.steps_args[e])
+            if lib is not None and rows > 0 and lib.row_sums(
+                    rows, m, chunk.qarr_addr + start * m * 8, *chunk.sums_args):
+                acc.add_rows(chunk.colsum, chunk.norm[:rows], chunk.perp[:rows])
+            else:
+                acc.add(qarr[start:])
         done += length
-    return acc
+    return accs
 
 
-def _stats(camp: _Campaign, model: ArrivalModel) -> SimStats:
-    """Run every replication at one eps value and pool them."""
+def _pool(camp: _Campaign, model: ArrivalModel, accs: Sequence[_RepAccum]) -> SimStats:
+    """Pool the replications of one eps value."""
     m = len(camp.base)
     rep_q_means = []
     rep_perp = []
     rep_norm = []
     samples = camp.horizon - camp.warmup
-    for rep in range(camp.replications):
-        acc = _run_replication(camp, model, rep)
+    for rep, acc in enumerate(accs):
         if acc.samples != samples:
             raise InvariantViolation(
                 f"replication {rep} kept {acc.samples} samples, expected {samples}"
@@ -468,6 +601,13 @@ def _stats(camp: _Campaign, model: ArrivalModel) -> SimStats:
     )
 
 
+def _sweep(camp: _Campaign) -> list[SimStats]:
+    """Run every replication at every eps value; one SimStats per eps."""
+    chunk = _Chunk(camp)
+    runs = [_run_replication(camp, rep, chunk) for rep in range(camp.replications)]
+    return [_pool(camp, model, accs) for model, accs in zip(camp.models, zip(*runs))]
+
+
 def simulate(
     inst: ProblemInstance,
     eps,
@@ -484,11 +624,13 @@ def simulate(
     Philox streams derived from (seed, replication), so adding replications
     never perturbs earlier ones; pooling weighs replications equally.
     Refuses 2^20 or more queues or servers, past what the stream keys hold,
-    and runs whose queue lengths could reach 2^63: horizon x sum of arrival
-    levels + sum of service rates must stay below it.
+    runs whose queue lengths could reach 2^63 (horizon x sum of arrival
+    levels + sum of service rates must stay below it) and runs whose chunk
+    would hold more than MAX_CHUNK_CELLS queue values (queues x
+    min(horizon, 32768)).
     """
     camp = _campaign(inst, [eps], horizon, warmup, seed, replications, arrival_levels)
-    return _stats(camp, camp.models[0])
+    return _sweep(camp)[0]
 
 
 @dataclass(frozen=True)
@@ -581,9 +723,8 @@ def heavy_traffic_check(
         rhs += Fraction(sum(limit_var[i - 1] for i in comp), 2 * len(comp))
 
     rows = []
-    for model in camp.models:
-        e = model.eps
-        stats = _stats(camp, model)
+    for stats in _sweep(camp):
+        e = stats.eps
         lhs = _lhs_value(e, nu, components, stats.queue_means)
         rep_lhs = [_lhs_value(e, nu, components, qm) for qm in stats.rep_queue_means]
         rep_ssc = [

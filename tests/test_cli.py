@@ -19,6 +19,7 @@ from procflex import cli, validate_instance
 from procflex.cli import main
 from procflex.design import MAX_COVER_SIZE
 from procflex.planning import MAX_PLAN_TABLE_BITS
+from procflex.queuesim import _CHUNK, MAX_CHUNK_CELLS
 
 from .oracles import envelope_text
 
@@ -295,6 +296,38 @@ def test_simulate_csv_and_json(files, capsys):
     # a queue could pass 2^63 before the run ends: refused before any draw
     code, out, err = run(capsys, "simulate", files["two"], "--eps", "0.1",
                          "--horizon", "1000", "--levels", "100000000000000000000,3")
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "SizeLimitExceeded"
+
+
+def test_simulate_chunk_cap(capsys, tmp_path):
+    # queues x min(horizon, chunk) at the cap runs and replays; one queue more
+    # is refused on argv and on a stored envelope alike
+    m = MAX_CHUNK_CELLS // _CHUNK
+    horizon = _CHUNK + 1000
+    stored = {}
+    for k in (m, m + 1):
+        doc = {"m": k, "n": k, "demand": [1] * k, "supply": [1] * k,
+               "edges": [[i, i] for i in range(1, k + 1)]}
+        path = tmp_path / f"diagonal_{k}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", str(path), "--eps", "0.5",
+                             "--horizon", str(horizon), "--format", "json")
+        stored[k] = (code, out, err, doc)
+    code, out, err, _ = stored[m]
+    assert code == 0 and err == ""
+    accepted = tmp_path / "accepted.json"
+    accepted.write_text(out)
+    assert run(capsys, "verify", str(accepted))[0] == 0
+
+    code, out, err, doc = stored[m + 1]
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "SizeLimitExceeded"
+    envelope_past = json.loads(accepted.read_text())
+    envelope_past["input"] = validate_instance(doc).to_dict()
+    past = tmp_path / "past.json"
+    past.write_text(json.dumps(envelope_past))
+    code, out, err = run(capsys, "verify", str(past))
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "SizeLimitExceeded"
 

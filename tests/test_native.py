@@ -34,3 +34,18 @@ def test_a_source_that_does_not_compile_loads_nothing(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert native.load("broken", "this is not C\n") is None
     assert not list((tmp_path / "procflex").glob("*.so"))
+
+
+def test_the_compile_command_keeps_multiply_and_add_apart(monkeypatch, tmp_path):
+    # a fused multiply-add rounds once where numpy rounds twice
+    commands = []
+    run = subprocess.run
+
+    def recording_run(command, **kwargs):
+        commands.append(command)
+        return run(command, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    native.load("probe", SOURCES["one"])
+    assert len(commands) == 1 and "-ffp-contract=off" in commands[0]

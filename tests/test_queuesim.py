@@ -6,6 +6,7 @@ import math
 import random
 import shutil
 import tempfile
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -141,13 +142,17 @@ def test_runtime_invariants_raise_rather_than_assert(monkeypatch):
     original = queuesim._run_replication
 
     def short_replication(*args):
-        acc = original(*args)
-        acc.samples -= 1
-        return acc
+        accs = original(*args)
+        accs[-1].samples -= 1
+        return accs
 
     monkeypatch.setattr(queuesim, "_run_replication", short_replication)
+    one = make_instance([1], [1], [(1, 1)])
     with pytest.raises(InvariantViolation):
-        simulate(make_instance([1], [1], [(1, 1)]), "0.1", horizon=100)
+        simulate(one, "0.1", horizon=100)
+    # one accumulator per eps value: a short count at the last one raises too
+    with pytest.raises(InvariantViolation):
+        heavy_traffic_check(one, ["0.2", "0.1"], horizon=100)
 
 
 def test_maxweight_beats_random_feasible_splits():
@@ -334,6 +339,115 @@ def test_step_loops_agree_across_chunks(monkeypatch):
         runs = [simulate(inst, "0.05", horizon=70_000, seed=6, replications=2)
                 for _loop in step_loops(monkeypatch)]
         assert runs[0] == runs[1]
+
+
+def test_sweep_rows_equal_standalone_runs(monkeypatch):
+    # a sweep runs its eps values side by side on shared draws; each row must
+    # still be exactly the run that simulate makes at that eps alone
+    cases = [
+        (four_pair_graph(), ["0.1"], 1, 900, None),
+        (design_flexibility([1] * 4, [1] * 4, 1).instance(), ["0.2", "0.1", "0.05"], 3,
+         700, None),
+        (long_chain(5), ["0.3", "0.05"], 2, queuesim._CHUNK + 1500, None),
+        (make_instance([1, 1, 2], [2, 2], [(1, 1), (2, 1), (2, 2), (3, 2)]),
+         ["1/4", "0.1"], 2, 2000, [3, 5, 7]),
+    ]
+    for _loop in step_loops(monkeypatch):
+        for inst, eps, reps, horizon, levels in cases:
+            report = heavy_traffic_check(inst, eps, horizon=horizon, seed=31,
+                                         replications=reps, arrival_levels=levels)
+            assert len(report.rows) == len(eps)
+            for row in report.rows:
+                assert row.stats == simulate(inst, row.eps, horizon=horizon, seed=31,
+                                             replications=reps, arrival_levels=levels)
+
+
+def test_a_replication_draws_once_for_every_eps(monkeypatch):
+    inst = four_pair_graph()  # 4 queues; servers 2 and 4 each serve two or more
+    horizon, reps = queuesim._CHUNK + 100, 2
+    streams = []
+
+    def recording_stream(*key):
+        streams.append((key, _stream(*key)))
+        return streams[-1][1]
+
+    monkeypatch.setattr(queuesim, "_stream", recording_stream)
+    for eps in (["0.1"], ["0.2", "0.1"], ["0.3", "0.2", "0.1"]):
+        streams.clear()
+        heavy_traffic_check(inst, eps, horizon=horizon, seed=4, replications=reps)
+        keys = [key for key, _ in streams]
+        assert len(keys) == len(set(keys)) == reps * (4 + 2)
+        # each stream was drawn exactly horizon times, whatever the number of eps
+        assert [g.random() for _, g in streams] == [
+            _stream(*key).random(horizon + 1)[-1] for key in keys]
+
+
+def guard_campaign():
+    # rates of 3 * 10^6 on a 2 x 2 complete graph: at eps = 0.2 some chunks'
+    # largest queue passes the row sums' exactness bound and others do not
+    r = 3 * 10**6
+    inst = make_instance([r, r], [r, r], [(1, 1), (1, 2), (2, 1), (2, 2)])
+    return lambda: simulate(inst, "0.2", horizon=4 * queuesim._CHUNK, warmup=0, seed=3)
+
+
+def test_row_sums_guard_falls_back_to_the_numpy_sums(monkeypatch):
+    lib = queuesim._kernel()
+    if lib is None:
+        pytest.skip("no compiled kernel")
+    run = guard_campaign()
+    used = {"add": 0, "add_rows": 0}
+    for name in used:
+        method = getattr(queuesim._RepAccum, name)
+
+        def counted(self, *args, name=name, method=method):
+            used[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(queuesim._RepAccum, name, counted)
+    mixed = run()
+    assert used["add"] > 0 and used["add_rows"] > 0
+    # the Python loop, and the kernel with every chunk summed by numpy
+    monkeypatch.setattr(queuesim, "_kernel", lambda: None)
+    assert run() == mixed
+    numpy_sums = types.SimpleNamespace(maxweight_steps=lib.maxweight_steps,
+                                       row_sums=lambda *args: 0)
+    monkeypatch.setattr(queuesim, "_kernel", lambda: numpy_sums)
+    assert run() == mixed
+
+
+def test_row_sums_equal_the_numpy_sums_up_to_the_guard():
+    lib = queuesim._kernel()
+    if lib is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng(17)
+    m = 6
+    comp_cols = [np.array(c) for c in ([0, 2, 3], [1], [4, 5])]
+    pooled = [c for c in comp_cols if len(c) > 1]
+    block_off = np.cumsum([0] + [len(c) for c in pooled], dtype=np.int64)
+    block_cols = np.concatenate(pooled).astype(np.int64)
+    top = 94906265 // m  # the largest qmax with (m * qmax)^2 < 2^53
+    assert (m * top) ** 2 < 2**53 <= (m * (top + 1)) ** 2
+    for qmax in (top, top + 1):
+        for rows in (1, 5, 999):
+            qarr = rng.integers(0, qmax + 1, size=(rows, m))
+            # equal queues in a block cancel to a perp^2 of about 0
+            qarr[::3, [4, 5]] = qarr[::3, [4]]
+            qarr[rng.integers(rows), rng.integers(m)] = qmax
+            colsum = np.empty(m, dtype=np.int64)
+            norm, perp = np.empty(rows), np.empty(rows)
+            exact = lib.row_sums(rows, m, qarr.ctypes.data, len(pooled),
+                                 block_off.ctypes.data, block_cols.ctypes.data,
+                                 colsum.ctypes.data, norm.ctypes.data, perp.ctypes.data)
+            assert exact == (qmax == top)
+            if exact:
+                fast, oracle = (queuesim._RepAccum(m, comp_cols) for _ in range(2))
+                fast.add_rows(colsum, norm, perp)
+                oracle.add(qarr)
+                assert fast.sum_q.tolist() == oracle.sum_q.tolist()
+                assert (fast.sum_norm, fast.sum_perp, fast.samples) == (
+                    oracle.sum_norm, oracle.sum_perp, oracle.samples)
+                w = qarr.astype(np.float64)
+                assert norm.tolist() == np.sqrt((w * w).sum(axis=1)).tolist()
 
 
 def test_kernel_builds_wherever_cc_is_found(monkeypatch, tmp_path):
