@@ -10,7 +10,7 @@ edge can shrink the relevant surplus: a Braess-style example below.
 
 from fractions import Fraction
 
-from procflex import check_perturbation, crp_gap, erp_number, make_instance
+from procflex import check_perturbation, crp_decomposition, crp_gap, make_instance
 
 inst = make_instance(
     demand=[1, 1, 2, 2, 1],
@@ -45,7 +45,7 @@ with_extra = make_instance(demand, supply,
 print(f"\ntiny pair of rate xi = {xi} beside two big queues:")
 for name, g in (("without edge (2,1)", without), ("with edge (2,1)", with_extra)):
     rep = crp_gap(g)
-    print(f"  {name}: blocks {erp_number(g)}, gap {rep.crp_gap},"
+    print(f"  {name}: blocks {crp_decomposition(g).erp_number}, gap {rep.crp_gap},"
           f" alternative gap {rep.alt_gap}")
 print("  the new edge never carries flow and the trimmed gap ignores it,")
 print("  but it drags the tiny pair into the big queues' untrimmed")

@@ -48,10 +48,7 @@ from .decomposition import (
     CrpDag,
     CrpDecomposition,
     SscBasis,
-    crp_condition,
     crp_decomposition,
-    erp_number,
-    redundant_edges,
     ssc_basis,
 )
 from .design import (

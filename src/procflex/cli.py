@@ -215,10 +215,10 @@ def _decompose(inst: ProblemInstance, options: dict, seed: int) -> dict:
     decomp = crp_decomposition(inst)
     out = decomp.to_dict()
     for comp, entry in zip(decomp.components, out["components"]):
-        demand = sum((inst.demand[i - 1] for i in comp.demands), Fraction(0))
-        supply = sum((inst.supply[j - 1] for j in comp.supplies), Fraction(0))
-        entry["demand_total"] = format_rational(demand)
-        entry["supply_total"] = format_rational(supply)
+        demand = sum(inst.demand_units[i - 1] for i in comp.demands)
+        supply = sum(inst.supply_units[j - 1] for j in comp.supplies)
+        entry["demand_total"] = format_rational(Fraction(demand, inst.scale))
+        entry["supply_total"] = format_rational(Fraction(supply, inst.scale))
     out["crp_graph"] = decomp.dag.to_dict()
     out["ssc_basis"] = [list(v) for v in ssc_basis(decomp).vectors]
     return out

@@ -2,10 +2,11 @@
 
 A problem instance is a triple (demand, supply, edges) describing the polytope
 of nonnegative matrices x with row sums ``demand``, column sums ``supply`` and
-support restricted to ``edges``.  Everything in this module (and in the other
-combinatorial modules) works with :class:`fractions.Fraction`, and the max
-flow scales the rates to Python ints; feasibility, redundancy and extremality
-are exact-zero properties, so no floating point is allowed anywhere near them.
+support restricted to ``edges``.  Rates are parsed to Fractions, then scaled
+once per instance by the lcm of their denominators to the Python ints that
+every layer reads (``scale``, ``demand_units``, ``supply_units``); Fractions
+are made again only for returned values.  Feasibility, redundancy and
+extremality are exact-zero properties, so no floating point comes near them.
 
 Vertices are 1-indexed.  Demand indices live in [1, m], supply indices in
 [1, n]; the two index spaces are distinct (an edge is a (demand, supply) pair).
@@ -19,7 +20,7 @@ import numbers
 import random
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
@@ -95,8 +96,30 @@ class ProblemInstance:
     edges: frozenset[tuple[int, int]]
 
     @cached_property
+    def _rate_units(self) -> tuple[int, tuple[int, ...]]:
+        return _units(self.demand + self.supply)
+
+    @cached_property
+    def scale(self) -> int:
+        """Least common multiple of the rate denominators; demand_units and
+        supply_units are the rates times it, as ints."""
+        return self._rate_units[0]
+
+    @cached_property
+    def demand_units(self) -> tuple[int, ...]:
+        return self._rate_units[1][:len(self.demand)]
+
+    @cached_property
+    def supply_units(self) -> tuple[int, ...]:
+        return self._rate_units[1][len(self.demand):]
+
+    @cached_property
+    def total_units(self) -> int:
+        return sum(self.demand_units)
+
+    @cached_property
     def total(self) -> Fraction:
-        return sum(self.demand, Fraction(0))
+        return Fraction(self.total_units, self.scale)
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
@@ -205,12 +228,10 @@ def make_instance(
     supply_f = tuple(parse_rational(v) for v in supply)
     m = len(demand_f) if m is None else m
     n = len(supply_f) if n is None else n
-    for k, v in enumerate(demand_f, start=1):
-        if v < 0:
-            raise NegativeRate(f"demand {k} is negative: {v}")
-    for k, v in enumerate(supply_f, start=1):
-        if v < 0:
-            raise NegativeRate(f"supply {k} is negative: {v}")
+    for side, rates in (("demand", demand_f), ("supply", supply_f)):
+        for k, v in enumerate(rates, start=1):
+            if v < 0:
+                raise NegativeRate(f"{side} {k} is negative: {v}")
     edge_list = []
     for e in edges:
         if len(e) != 2:
@@ -224,12 +245,11 @@ def make_instance(
         if e in seen:
             raise DuplicateEdge(f"edge {e} listed twice")
         seen.add(e)
-    if sum(demand_f, Fraction(0)) != sum(supply_f, Fraction(0)):
-        raise UnbalancedTotals(
-            f"total demand {sum(demand_f, Fraction(0))} != "
-            f"total supply {sum(supply_f, Fraction(0))}"
-        )
-    return ProblemInstance(m, n, demand_f, supply_f, frozenset(edge_list))
+    inst = ProblemInstance(m, n, demand_f, supply_f, frozenset(edge_list))
+    if inst.total_units != sum(inst.supply_units):
+        raise UnbalancedTotals(f"total demand {inst.total} != total supply "
+                               f"{Fraction(sum(inst.supply_units), inst.scale)}")
+    return inst
 
 
 @dataclass(frozen=True)
@@ -269,23 +289,25 @@ class Assignment:
 def gcd_combined(demand: Sequence, supply: Sequence) -> Fraction:
     """Largest rational c such that every rate is an integer multiple of c."""
     values = [parse_rational(v) for v in demand] + [parse_rational(v) for v in supply]
+    _check_positive(values)
+    scale, units = _units(values)
+    return Fraction(math.gcd(*units), scale)
+
+
+def _check_positive(values: Sequence[Fraction]) -> None:
+    """ZeroVector unless there are rates and every one is positive."""
     if not values:
         raise ZeroVector("empty rate vectors")
     for v in values:
         if v <= 0:
             raise ZeroVector(f"rates must be strictly positive, got {v}")
-    lcm_den = _denominator_lcm(values)
-    return Fraction(math.gcd(*(_scaled(v, lcm_den) for v in values)), lcm_den)
 
 
-def _denominator_lcm(values: Iterable[Fraction]) -> int:
-    """Least common multiple of the denominators; scales every value to an int."""
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _scaled(value: Fraction, scale: int) -> int:
-    """value * scale as an int; scale must be a multiple of value's denominator."""
-    return value.numerator * (scale // value.denominator)
+def _units(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(scale, units): scale is the lcm of the denominators of ``values`` and
+    units[k] = values[k] * scale, an int."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +333,12 @@ def _scaled(value: Fraction, scale: int) -> int:
 #
 # _Transport builds the transportation network on it.  Node layout: 0 =
 # source, 1..m = demands, m+1..m+n = supplies, m+n+1 = sink.  Arc (demand i
-# -> supply j) carries x_ij.  Every rate is scaled by the LCM of the rate
-# denominators, so capacities and flows are Python ints and the arithmetic
-# stays exact; the "infinite" capacity on instance edges exceeds every
-# finite arc's capacity put together, so no cut can afford it.  Flows map
-# back to Fractions only in assignment(); the pooling decomposition reads the
+# -> supply j) carries x_ij.  Capacities are the instance's rate units
+# (rates times inst.scale, computed once per instance), so capacities and
+# flows are Python ints and the arithmetic stays exact; the "infinite"
+# capacity on instance edges, 2 * total_units + 1, exceeds every finite
+# arc's capacity put together, so no cut can afford it.  Flows map back to
+# Fractions only in assignment(); the pooling decomposition reads the
 # residual arcs (res > 0) of the solved network in place.  order_seed
 # permutes the edge arcs so tests can seed the decomposition with genuinely
 # different feasible points.
@@ -552,12 +575,10 @@ class _Transport(_Network):
 
     def __init__(self, inst: ProblemInstance, order_seed: int = 0):
         m, n = inst.m, inst.n
-        scale = _denominator_lcm(inst.demand + inst.supply)
-        super().__init__(m + n + 2, 0, m + n + 1, 2 * _scaled(inst.total, scale) + 1)
+        super().__init__(m + n + 2, 0, m + n + 1, 2 * inst.total_units + 1)
         self.inst = inst
-        self.scale = scale
-        self.source_arc = [-1] + [self.add_arc(0, i, _scaled(inst.demand[i - 1], scale))
-                                  for i in range(1, m + 1)]
+        self.source_arc = [-1] + [self.add_arc(0, i, nu)
+                                  for i, nu in enumerate(inst.demand_units, 1)]
         self.sink_arc: dict[int, int] = {}
         self.mode = [FREE] * (m + 1)
         edge_order = list(inst.sorted_edges)
@@ -566,8 +587,8 @@ class _Transport(_Network):
         self.edge_arc: dict[tuple[int, int], int] = {}
         for i, j in edge_order:
             self.edge_arc[(i, j)] = self.add_arc(i, m + j, self.inf)
-        self.supply_arc = [-1] + [self.add_arc(m + j, self.sink, _scaled(inst.supply[j - 1], scale))
-                                  for j in range(1, n + 1)]
+        self.supply_arc = [-1] + [self.add_arc(m + j, self.sink, mu)
+                                  for j, mu in enumerate(inst.supply_units, 1)]
 
     def _set_cap(self, a: int, cap: int) -> None:
         self.res[a] = cap - self.res[a ^ 1]
@@ -602,7 +623,7 @@ class _Transport(_Network):
             # a capacity drops: the flow through i may exceed it
             self.drain(i)
         self.mode[i] = mode
-        nu = _scaled(self.inst.demand[i - 1], self.scale)
+        nu = self.inst.demand_units[i - 1]
         self._set_cap(self.source_arc[i], self.inf if mode == IN else nu)
         if i not in self.sink_arc:
             if mode != OUT:
@@ -611,7 +632,7 @@ class _Transport(_Network):
         self._set_cap(self.sink_arc[i], self.inf if mode == OUT else 0)
 
     def assignment(self) -> Assignment:
-        res, scale = self.res, self.scale
+        res, scale = self.res, self.inst.scale
         entries = {}
         for (i, j), a in self.edge_arc.items():
             if res[a ^ 1] > 0:
@@ -621,8 +642,7 @@ class _Transport(_Network):
 
 def _solved_network(inst: ProblemInstance, order_seed: int = 0) -> tuple[_Transport, bool]:
     net = _Transport(inst, order_seed=order_seed)
-    value = net.max_flow()
-    return net, value == _scaled(inst.total, net.scale)
+    return net, net.max_flow() == inst.total_units
 
 
 def is_feasible(inst: ProblemInstance) -> bool:
@@ -663,7 +683,8 @@ def greedy_extreme_point(
     nu = [parse_rational(v) for v in demand]
     mu = [parse_rational(v) for v in supply]
     m, n = len(nu), len(mu)
-    if sum(nu, Fraction(0)) != sum(mu, Fraction(0)):
+    _scale, units = _units(nu + mu)
+    if sum(units[:m]) != sum(units[m:]):
         raise UnbalancedTotals("greedy extreme point needs balanced totals")
     for v in nu + mu:
         if v < 0:

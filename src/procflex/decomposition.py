@@ -28,10 +28,7 @@ __all__ = [
     "CrpDecomposition",
     "CrpDag",
     "SscBasis",
-    "redundant_edges",
     "crp_decomposition",
-    "erp_number",
-    "crp_condition",
     "ssc_basis",
 ]
 
@@ -243,22 +240,6 @@ def crp_decomposition(
     for v in sorted(range(m + n), key=position.__getitem__):
         labels[v] = label_of_scc.setdefault(comp[v], len(label_of_scc) + 1)
     return _from_labels(m, n, labels, inst.edges)
-
-
-def redundant_edges(
-    inst: ProblemInstance, order_seed: int = 0
-) -> frozenset[tuple[int, int]]:
-    """Edges that are zero in every feasible assignment: those between blocks."""
-    return crp_decomposition(inst, order_seed=order_seed).redundant_edges
-
-
-def erp_number(inst: ProblemInstance, order_seed: int = 0) -> int:
-    return crp_decomposition(inst, order_seed=order_seed).erp_number
-
-
-def crp_condition(inst: ProblemInstance) -> bool:
-    """Complete pooling: one residual SCC spans every demand and supply."""
-    return crp_decomposition(inst).erp_number == 1
 
 
 @dataclass(frozen=True)

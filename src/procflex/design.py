@@ -14,22 +14,15 @@ popcount layer at a time, is the most disjoint balanced parts inside S.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Assignment,
-    ProblemInstance,
-    _denominator_lcm,
-    _scaled,
-    greedy_extreme_point,
-    gcd_combined,
-    make_instance,
-    parse_rational,
-)
+from .core import Assignment, ProblemInstance, _check_positive, _units, greedy_extreme_point
+from .core import make_instance, parse_rational
 from .decomposition import crp_decomposition
 from .errors import (
     InternalMergeStuck,
@@ -55,12 +48,14 @@ __all__ = [
 MAX_COVER_SIZE = 22
 
 
-def _rates(demand, supply) -> tuple[list[Fraction], list[Fraction]]:
+def _rates(demand, supply) -> tuple[list[Fraction], list[Fraction], tuple[int, ...]]:
+    """The parsed rates and their units (see core._units), demands first."""
     nu = [parse_rational(v) for v in demand]
     mu = [parse_rational(v) for v in supply]
-    if sum(nu, Fraction(0)) != sum(mu, Fraction(0)):
+    _scale, units = _units(nu + mu)
+    if sum(units[:len(nu)]) != sum(units[len(nu):]):
         raise UnbalancedTotals("demand and supply totals differ")
-    return nu, mu
+    return nu, mu, units
 
 
 def d_star(demand, supply) -> int:
@@ -70,10 +65,9 @@ def d_star(demand, supply) -> int:
     an integer matrix whose forest support carries at least 1 per edge, so it
     has at most total-units edges and at least m+n-total components.
     """
-    nu, mu = _rates(demand, supply)
-    g = gcd_combined(nu, mu)
-    units = int(sum(nu, Fraction(0)) / g)
-    return max(1, len(nu) + len(mu) - units)
+    nu, mu, units = _rates(demand, supply)
+    _check_positive(nu + mu)
+    return max(1, len(units) - sum(units[:len(nu)]) // math.gcd(*units))
 
 
 @dataclass(frozen=True)
@@ -150,18 +144,16 @@ def max_balanced_cover(demand, supply) -> BalancedCover:
     ties resolve toward lexicographically smallest parts.  Time and memory
     grow as 2^(m+n); refuses instances with m+n above MAX_COVER_SIZE.
     """
-    nu, mu = _rates(demand, supply)
+    nu, mu, units = _rates(demand, supply)
     m, n = len(nu), len(mu)
     if m + n > MAX_COVER_SIZE:
         raise SizeLimitExceeded(f"m+n={m+n} exceeds cover search limit {MAX_COVER_SIZE}")
-    for v in nu + mu:
-        if v <= 0:
-            raise ZeroVector("cover search needs strictly positive rates")
+    if not all(u > 0 for u in units):
+        raise ZeroVector("cover search needs strictly positive rates")
 
-    # exact sums as Python ints: every rate times the common denominator.  Ids
-    # number the sums of the smaller side; a sum it lacks balances nothing (-1).
-    scale = _denominator_lcm(nu + mu)
-    dunits, sunits = [_scaled(v, scale) for v in nu], [_scaled(v, scale) for v in mu]
+    # exact sums of the rate units.  Ids number the sums of the smaller side;
+    # a sum it lacks balances nothing (-1).
+    dunits, sunits = units[:m], units[m:]
     small = _subset_sums(min(dunits, sunits, key=len))
     ids = {s: k for k, s in enumerate(dict.fromkeys(small))}
     did, sid = _sum_ids(dunits, ids), _sum_ids(sunits, ids)
@@ -199,7 +191,7 @@ def max_balanced_cover(demand, supply) -> BalancedCover:
 
 def min_edges(demand, supply, d: int) -> int:
     """Fewest edges of any graph whose polytope has exactly d blocks."""
-    nu, mu = _rates(demand, supply)
+    nu, mu, _ = _rates(demand, supply)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"target block count must be a positive integer, got {d!r}")
     dss = max_balanced_cover(nu, mu).cardinality
@@ -248,7 +240,7 @@ def design_flexibility(demand, supply, d: int) -> DesignResult:
     needed when d < d_star, links the remaining surplus components in one
     cycle by splitting half the minimum representative flow around it.
     """
-    nu, mu = _rates(demand, supply)
+    nu, mu, _ = _rates(demand, supply)
     m, n = len(nu), len(mu)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"target block count must be a positive integer, got {d!r}")

@@ -49,12 +49,14 @@ from .errors import (
 
 _CHUNK = 1 << 15
 # Most queue values (queues x min(horizon, _CHUNK)) one chunk may hold.  At
-# the cap a chain sweep peaks at about 130 MB RSS on the compiled path, 220 MB
-# when every chunk takes _RepAccum.add and 510 MB on the Python loop (Python
-# 3.11, numpy 2.4); 1000 queues at a full chunk took 0.8-1.2 GB.
+# the cap a chain sweep peaks at about 130 MB RSS on the compiled path and
+# 190-220 MB when every chunk takes _RepAccum.add, as on the Python loop
+# (Python 3.11, numpy 2.4); 1000 queues at a full chunk took 0.8-1.2 GB.
 MAX_CHUNK_CELLS = 1 << 22
 # a stream key holds the queue or server index in its low 20 bits
 _MAX_VERTICES = 1 << 20
+# queue values per block of the Python loop, which holds O(m) Python objects
+_PY_BLOCK_CELLS = 1 << 12
 _ARRIVAL_STREAM = 1
 _TIE_STREAM = 2
 
@@ -75,17 +77,14 @@ def _check_eps(eps) -> Fraction:
 
 
 def _integer_rates(inst: ProblemInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    nu = []
-    for i, r in enumerate(inst.demand, start=1):
-        if r.denominator != 1:
-            raise ValueError(f"simulator needs integer demand rates; nu_{i} = {r}")
-        nu.append(int(r))
-    mu = []
-    for j, r in enumerate(inst.supply, start=1):
-        if r.denominator != 1:
-            raise ValueError(f"simulator needs integer supply rates; mu_{j} = {r}")
-        mu.append(int(r))
-    return tuple(nu), tuple(mu)
+    """The rates as ints (their units at scale 1); ValueError naming the
+    first rate that is not an integer."""
+    if inst.scale != 1:
+        for side, name, rates in (("demand", "nu", inst.demand), ("supply", "mu", inst.supply)):
+            for k, r in enumerate(rates, 1):
+                if r.denominator != 1:
+                    raise ValueError(f"simulator needs integer {side} rates; {name}_{k} = {r}")
+    return inst.demand_units, inst.supply_units
 
 
 @dataclass(frozen=True)
@@ -353,30 +352,33 @@ def _kernel():
 
 def _python_steps(u, p, levels, ties, base, off, cand, mu, q, qarr) -> None:
     """The kernel's loop over one chunk, for where the kernel is missing;
-    ``u`` and ``ties`` are (m, length) and (servers, length) views."""
+    ``u`` and ``ties`` are (m, length) and (servers, length) views, read and
+    written _PY_BLOCK_CELLS queue values at a time to bound the lists."""
     bounds = off.tolist()
     servers = list(zip((cand[a:b].tolist() for a, b in zip(bounds, bounds[1:])),
                        mu.tolist()))
     base_row = base.tolist()
     cur = q.tolist()
-    rows = []
-    arrivals = np.where(u < p[:, None], levels[:, None], 0)
-    for a_row, u_row in zip(arrivals.T.tolist(), ties.T.tolist()):
-        s = base_row.copy()
-        for (candidates, muk), w in zip(servers, u_row):
-            best = -1
-            tied: list[int] = []
-            for i in candidates:
-                qi = cur[i]
-                if qi > best:
-                    best = qi
-                    tied = [i]
-                elif qi == best:
-                    tied.append(i)
-            s[tied[int(w * len(tied))]] += muk
-        cur = [max(qi + ai - si, 0) for qi, ai, si in zip(cur, a_row, s)]
-        rows.append(cur)
-    qarr[:] = rows
+    block = max(1, _PY_BLOCK_CELLS // len(cur))
+    for t in range(0, u.shape[1], block):
+        arrivals = np.where(u[:, t:t + block] < p[:, None], levels[:, None], 0)
+        rows = []
+        for a_row, u_row in zip(arrivals.T.tolist(), ties[:, t:t + block].T.tolist()):
+            s = base_row.copy()
+            for (candidates, muk), w in zip(servers, u_row):
+                best = -1
+                tied: list[int] = []
+                for i in candidates:
+                    qi = cur[i]
+                    if qi > best:
+                        best = qi
+                        tied = [i]
+                    elif qi == best:
+                        tied.append(i)
+                s[tied[int(w * len(tied))]] += muk
+            cur = [max(qi + ai - si, 0) for qi, ai, si in zip(cur, a_row, s)]
+            rows.append(cur)
+        qarr[t:t + block] = rows
     q[:] = cur
 
 

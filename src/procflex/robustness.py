@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FREE, IN, OUT, ProblemInstance, _Transport, make_instance
-from .core import parse_rational
+from .core import FREE, IN, OUT, ProblemInstance, _Transport, make_instance, parse_rational
 from .decomposition import CrpDecomposition, crp_decomposition
 from .errors import GapUndefined, Infeasible, InvariantViolation, SizeLimitExceeded
 
@@ -110,22 +109,23 @@ def _alt_chains(dec: CrpDecomposition):
 def _chain_cuts(inst: ProblemInstance, chains):
     """Min cuts along every step of every chain, on one network.
 
-    Yields (min f over the sets the step allows, network) per step.  Each
-    cut's flow starts from the previous one's: only the demands whose
-    forcing changed are drained first.
+    Yields (min f over the sets the step allows, in rate units, network) per
+    step.  Each cut's flow starts from the previous one's: only the demands
+    whose forcing changed are drained first.
     """
     net = _Transport(inst)
     for steps in chains:
         for changes in steps:
             for i, mode in changes:
                 net.force(i, mode)
-            yield Fraction(net.max_flow(), net.scale) - inst.total, net
+            yield net.max_flow() - inst.total_units, net
         for i in dict.fromkeys(i for changes in steps for i, _mode in changes):
             net.force(i, FREE)
 
 
 def _lex_smallest(inst: ProblemInstance, dec: CrpDecomposition, delta, tops) -> frozenset:
-    """The lexicographically smallest qualifying set with f = delta.
+    """The lexicographically smallest qualifying set with f = delta (in rate
+    units).
 
     The minimizers of one step form a lattice whose largest set is its entry
     of `tops`, and the smallest minimizer overall is a prefix of the sorted
@@ -137,18 +137,18 @@ def _lex_smallest(inst: ProblemInstance, dec: CrpDecomposition, delta, tops) -> 
     counts = [0] * len(sizes)
     split = 0
     reached: set[int] = set()
-    surplus = Fraction(0)
+    surplus = 0
     chosen: list[int] = []
     while not (split and surplus == delta):
         k = len(chosen)
         v = min(t[k] for t in tops)
         tops = [t for t in tops if t[k] == v]
         chosen.append(v)
-        surplus -= inst.demand[v - 1]
+        surplus -= inst.demand_units[v - 1]
         for j in inst.demand_adj[v - 1]:
             if j not in reached:
                 reached.add(j)
-                surplus += inst.supply[j - 1]
+                surplus += inst.supply_units[j - 1]
         l = dec.demand_labels[v - 1] - 1
         counts[l] += 1
         split += (counts[l] == 1) - (counts[l] == sizes[l])
@@ -166,9 +166,10 @@ def _gap_report(inst: ProblemInstance, dec: CrpDecomposition) -> GapReport:
             tops.append([i for i in range(1, inst.m + 1) if blocked[i]])
     alt = min((v for v, _net in _chain_cuts(inst, _alt_chains(dec))), default=None)
     if delta is None:
-        return GapReport(None, None, alt)
+        return GapReport(None, None, None if alt is None else Fraction(alt, inst.scale))
     alt = delta if alt is None else min(alt, delta)
-    return GapReport(delta, _lex_smallest(inst, dec, delta, tops), alt)
+    return GapReport(Fraction(delta, inst.scale), _lex_smallest(inst, dec, delta, tops),
+                     Fraction(alt, inst.scale))
 
 
 def crp_gap(inst: ProblemInstance) -> GapReport:

@@ -21,7 +21,7 @@ from procflex.core import (
     find_feasible_point,
     make_instance,
 )
-from procflex.decomposition import crp_condition, crp_decomposition
+from procflex.decomposition import crp_decomposition
 from procflex.errors import (
     EdgeNotPresent,
     GapUndefined,
@@ -746,7 +746,7 @@ def verify_decomposition(inst: ProblemInstance, cover: Sequence) -> bool:
             return False
         try:
             sub = sub_instance(inst, sorted(part), sorted(block_supplies))
-            if not crp_condition(sub):
+            if crp_decomposition(sub).erp_number != 1:
                 return False
         except (UnbalancedTotals, Infeasible):
             return False

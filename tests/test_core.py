@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 import shutil
 import tempfile
@@ -223,6 +224,62 @@ def test_gcd_combined_values():
 def test_gcd_combined_zero_rejected():
     with pytest.raises(pf.ZeroVector):
         pf.gcd_combined([0, 1], [1])
+
+
+def _rational_gcd(values):
+    """Euclid's algorithm on the Fractions themselves."""
+    g = Fraction(0)
+    for v in values:
+        while v:
+            g, v = v, g % v
+    return g
+
+
+def test_rate_units_are_the_rates_over_one_scale():
+    rng = random.Random(1801)
+    cases = [pf.make_instance([0, Fraction(1, 2), Fraction(1, 3)], [Fraction(5, 6), 0],
+                              [(2, 1), (3, 1)])]
+    for _ in range(40):
+        cases.append(random_feasible_instance(rng))
+        cases.append(random_feasible_instance(rng, denominators=(2, 3, 5, 7)))
+        cases.append(random_instance_with_zero_rates(rng))
+    mixed = zeros = 0
+    for inst in cases:
+        rates = inst.demand + inst.supply
+        assert inst.scale == math.lcm(*(v.denominator for v in rates))
+        units = inst.demand_units + inst.supply_units
+        assert all(type(u) is int for u in units)
+        assert [Fraction(u, inst.scale) for u in units] == list(rates)
+        assert inst.total == sum(inst.demand, Fraction(0)) == sum(inst.supply, Fraction(0))
+        assert inst.total_units == sum(inst.demand_units) == sum(inst.supply_units)
+        mixed += len({v.denominator for v in rates}) > 2
+        if all(v > 0 for v in rates):
+            g = _rational_gcd(rates)
+            assert pf.gcd_combined(inst.demand, inst.supply) == g
+            assert pf.d_star(inst.demand, inst.supply) == max(1, len(rates) - inst.total / g)
+        else:
+            zeros += 1
+            first = next(v for v in rates if v <= 0)
+            for fn in (pf.gcd_combined, pf.d_star):
+                with pytest.raises(pf.ZeroVector, match=f"^rates must be strictly positive, got {first}$"):
+                    fn(inst.demand, inst.supply)
+    assert mixed >= 10 and zeros >= 30
+
+
+def test_unbalanced_totals_messages():
+    for demand, supply, message in (
+        ([2, 1], [2], "total demand 3 != total supply 2"),
+        ([Fraction(1, 2), Fraction(1, 3)], ["1/4"], "total demand 5/6 != total supply 1/4"),
+        ([], [Fraction(1, 6)], "total demand 0 != total supply 1/6"),
+    ):
+        with pytest.raises(pf.UnbalancedTotals) as err:
+            pf.make_instance(demand, supply, [])
+        assert str(err.value) == message
+        for fn in (pf.d_star, pf.max_balanced_cover):
+            with pytest.raises(pf.UnbalancedTotals, match="^demand and supply totals differ$"):
+                fn(demand, supply)
+        with pytest.raises(pf.UnbalancedTotals, match="^greedy extreme point needs balanced totals$"):
+            pf.greedy_extreme_point(demand, supply)
 
 
 def test_feasibility_matches_hall_oracle_bulk():

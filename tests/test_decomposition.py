@@ -27,28 +27,28 @@ from .oracles import (
 
 
 def test_redundant_edges_three_block(three_block_instance):
-    assert pf.redundant_edges(three_block_instance) == {(1, 3), (1, 5), (2, 4)}
+    assert pf.crp_decomposition(three_block_instance).redundant_edges == {(1, 3), (1, 5), (2, 4)}
 
 
 def test_redundant_edges_four_pair(four_pair_instance):
-    assert pf.redundant_edges(four_pair_instance) == {(1, 2), (3, 4), (1, 4)}
+    assert pf.crp_decomposition(four_pair_instance).redundant_edges == {(1, 2), (3, 4), (1, 4)}
 
 
 def test_redundant_edges_none_when_pooled(small_tree_instance):
-    assert pf.redundant_edges(small_tree_instance) == frozenset()
+    assert pf.crp_decomposition(small_tree_instance).redundant_edges == frozenset()
 
 
 def test_edges_into_a_zero_rate_supply_are_redundant():
     # x_12 <= supply_2 = 0 at every feasible point
     inst = pf.make_instance([1], [1, 0], [(1, 1), (1, 2)])
-    assert pf.redundant_edges(inst) == {(1, 2)}
+    assert pf.crp_decomposition(inst).redundant_edges == {(1, 2)}
     assert oracles.vertex_redundant_edges(inst) == {(1, 2)}
     assert redundancy_oracle(inst, (1, 2)) is True
 
 
 def test_redundant_edges_seed_independent(three_block_instance, four_pair_instance):
     for inst in (three_block_instance, four_pair_instance):
-        results = {pf.redundant_edges(inst, order_seed=s) for s in range(4)}
+        results = {pf.crp_decomposition(inst, order_seed=s).redundant_edges for s in range(4)}
         assert len(results) == 1
 
 
@@ -65,7 +65,7 @@ def test_oracle_equivalence_bulk():
     rng = random.Random(74)
     for _ in range(210):
         inst = random_feasible_instance(rng, max_m=6, max_n=6)
-        algo = pf.redundant_edges(inst)
+        algo = pf.crp_decomposition(inst).redundant_edges
         per_edge = {e for e in inst.sorted_edges if redundancy_oracle(inst, e)}
         assert algo == per_edge
 
@@ -74,7 +74,7 @@ def test_algorithm_matches_vertex_enumeration():
     rng = random.Random(75)
     for _ in range(40):
         inst = random_feasible_instance(rng, max_m=3, max_n=3)
-        assert pf.redundant_edges(inst) == oracles.vertex_redundant_edges(inst)
+        assert pf.crp_decomposition(inst).redundant_edges == oracles.vertex_redundant_edges(inst)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -89,7 +89,7 @@ def test_fractional_rates_match_oracles(seed):
     assert expected == {e for e in inst.sorted_edges if redundancy_oracle(inst, e)}
     for s in range(4):
         check_assignment(inst, pf.find_feasible_point(inst, order_seed=s))
-        assert pf.redundant_edges(inst, order_seed=s) == expected
+        assert pf.crp_decomposition(inst, order_seed=s).redundant_edges == expected
 
 
 def test_planted_blocks_recovered_at_m_1000():
@@ -119,7 +119,7 @@ def test_work_bound(three_block_instance, monkeypatch):
         cases.append(random_feasible_instance(rng, max_m=6, max_n=6))
     for inst in cases:
         handed.clear()
-        pf.redundant_edges(inst)
+        pf.crp_decomposition(inst)
         bound = 4 * (inst.m + inst.n) * (inst.m + inst.n + len(inst.edges))
         assert len(handed) == 1 and handed[0] <= bound
 
@@ -134,8 +134,8 @@ def test_decomposition_reads_the_solved_network_in_place(three_block_instance, m
     for seed in range(4):
         dec = pf.crp_decomposition(three_block_instance, order_seed=seed)
         assert dec.redundant_edges == {(1, 3), (1, 5), (2, 4)}
-    assert pf.redundant_edges(three_block_instance) == {(1, 3), (1, 5), (2, 4)}
-    assert pf.crp_condition(three_block_instance) is False
+    assert pf.crp_decomposition(three_block_instance).redundant_edges == {(1, 3), (1, 5), (2, 4)}
+    assert pf.crp_decomposition(three_block_instance).erp_number != 1
     # demand 1 reaches only supply 1, which has half its rate
     stuck = pf.make_instance([2, 0], [1, 1], [(1, 1), (2, 2)])
     with pytest.raises(pf.Infeasible, match="^no feasible assignment: capacity region violated$"):
@@ -197,21 +197,21 @@ def test_components_individually_pooled():
         dec = pf.crp_decomposition(inst)
         for comp in dec.components:
             sub = sub_instance(inst, comp.demands, comp.supplies)
-            assert pf.crp_condition(sub)
+            assert pf.crp_decomposition(sub).erp_number == 1
 
 
 def test_crp_condition_examples(small_tree_instance, four_pair_instance):
-    assert pf.crp_condition(small_tree_instance) is True
-    assert pf.crp_condition(four_pair_instance) is False
+    assert pf.crp_decomposition(small_tree_instance).erp_number == 1
+    assert pf.crp_decomposition(four_pair_instance).erp_number != 1
     disconnected = pf.make_instance([1, 1], [1, 1], [(1, 1), (2, 2)])
-    assert pf.crp_condition(disconnected) is False
+    assert pf.crp_decomposition(disconnected).erp_number != 1
 
 
 def test_crp_condition_matches_strict_subset_scan():
     rng = random.Random(81)
     for _ in range(120):
         inst = random_feasible_instance(rng, max_m=5, max_n=5)
-        assert pf.crp_condition(inst) == oracles.strict_pooling_condition(inst)
+        assert (pf.crp_decomposition(inst).erp_number == 1) == oracles.strict_pooling_condition(inst)
 
 
 def test_crp_graph_four_pair(four_pair_instance):
@@ -281,7 +281,7 @@ def test_blocks_match_union_find_oracle():
             assert dec.demand_labels == tuple(label[("d", i)] for i in range(1, inst.m + 1))
             assert dec.supply_labels == tuple(label[("s", j)] for j in range(1, inst.n + 1))
             assert dict(dec.dag.edges) == dag_edges
-        assert pf.crp_condition(inst) == (len(blocks) == 1 and not redundant)
+        assert (pf.crp_decomposition(inst).erp_number == 1) == (len(blocks) == 1 and not redundant)
         zero_rate_blocks += sum(1 for d, s, _e in blocks if not d or not s)
     assert zero_rate_blocks >= 80
 
@@ -304,7 +304,7 @@ def test_ssc_basis(three_block_instance, small_tree_instance, four_pair_instance
 
 
 def test_witness_and_full_support(three_block_instance):
-    er = pf.redundant_edges(three_block_instance)
+    er = pf.crp_decomposition(three_block_instance).redundant_edges
     for edge in three_block_instance.sorted_edges:
         w = witness_point(three_block_instance, edge)
         if edge in er:
@@ -321,7 +321,7 @@ def test_full_support_bulk():
     rng = random.Random(8080)
     for _ in range(40):
         inst = random_feasible_instance(rng, max_m=5, max_n=5)
-        er = pf.redundant_edges(inst)
+        er = pf.crp_decomposition(inst).redundant_edges
         xbar = full_support_point(inst)
         check_assignment(inst, xbar)
         assert xbar.support() == inst.edges - er

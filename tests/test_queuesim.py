@@ -341,6 +341,17 @@ def test_step_loops_agree_across_chunks(monkeypatch):
         assert runs[0] == runs[1]
 
 
+def test_python_loop_block_size_does_not_change_results(monkeypatch):
+    # blocks of 1, 7 or 20 queue values split a chunk at rows that do not
+    # divide it; one block of the whole chunk is the loop without blocks
+    inst = long_chain(20)
+    expected = simulate(inst, "0.1", horizon=900, warmup=90, seed=17, replications=2)
+    monkeypatch.setattr(queuesim, "_kernel", lambda: None)
+    for cells in (1, 7, 20, 1 << 30):
+        monkeypatch.setattr(queuesim, "_PY_BLOCK_CELLS", cells)
+        assert simulate(inst, "0.1", horizon=900, warmup=90, seed=17, replications=2) == expected
+
+
 def test_sweep_rows_equal_standalone_runs(monkeypatch):
     # a sweep runs its eps values side by side on shared draws; each row must
     # still be exactly the run that simulate makes at that eps alone
