@@ -12,7 +12,6 @@ from .errors import (
     AlreadyCrp,
     DuplicateEdge,
     EdgeAlreadyPresent,
-    EdgeNotPresent,
     EdgeOutOfRange,
     GapUndefined,
     IndexOutOfRange,
@@ -23,8 +22,6 @@ from .errors import (
     InvariantViolation,
     IsolatedServer,
     NegativeRate,
-    NotAPartition,
-    NotFeasiblePoint,
     ProcflexError,
     SizeLimitExceeded,
     TargetAboveDstarStar,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .augmentation import add_edge_effect, best_single_edge
 from .core import ProblemInstance, format_rational, is_feasible, parse_rational
-from .core import validate_instance
+from .core import _is_int, validate_instance
 from .decomposition import crp_decomposition, ssc_basis
 from .design import design_flexibility
 from .errors import ProcflexError, SizeLimitExceeded, VerificationFailed
@@ -140,10 +140,6 @@ def _envelope(command: str, seed: int, input_doc, options: dict, result) -> str:
 # options checks: parsed argv or a stored envelope's options in, the options
 # the envelope records out.  Only types and shapes are checked here; values
 # out of range are the library's to reject.
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _list_of(ok):

@@ -249,6 +249,8 @@ def make_instance(
     if inst.total_units != sum(inst.supply_units):
         raise UnbalancedTotals(f"total demand {inst.total} != total supply "
                                f"{Fraction(sum(inst.supply_units), inst.scale)}")
+    if m < 1 or n < 1:
+        raise ValueError("an instance needs at least one demand and one supply")
     return inst
 
 
@@ -313,11 +315,12 @@ def _units(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Exact max flow.
 #
-# _Network is Dinic's algorithm on integer capacities over an arc list: BFS
-# levels, then blocking flows found by an iterative DFS with current-arc
-# pointers that prunes dead ends.  max_flow() augments whatever flow the
-# arcs already carry, so a caller that lowers a capacity after draining the
-# flow through it can solve again from the rest of the old flow.
+# _Transport is the transportation network of an instance, solved by Dinic's
+# algorithm on integer capacities over an arc list: BFS levels, then blocking
+# flows found by an iterative DFS with current-arc pointers that prunes dead
+# ends.  max_flow() augments whatever flow the arcs already carry, so a
+# caller that lowers a capacity after draining the flow through it can solve
+# again from the rest of the old flow.
 #
 # max_flow() runs the whole loop in one call of a small C function
 # (_DINIC_SOURCE, built by `native`) over int64 copies of the arcs: a CSR
@@ -331,17 +334,17 @@ def _units(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 # in int64.  Past that, or where no library can be built, the Python loop
 # runs.
 #
-# _Transport builds the transportation network on it.  Node layout: 0 =
-# source, 1..m = demands, m+1..m+n = supplies, m+n+1 = sink.  Arc (demand i
-# -> supply j) carries x_ij.  Capacities are the instance's rate units
-# (rates times inst.scale, computed once per instance), so capacities and
-# flows are Python ints and the arithmetic stays exact; the "infinite"
-# capacity on instance edges, 2 * total_units + 1, exceeds every finite
-# arc's capacity put together, so no cut can afford it.  Flows map back to
-# Fractions only in assignment(); the pooling decomposition reads the
-# residual arcs (res > 0) of the solved network in place.  order_seed
-# permutes the edge arcs so tests can seed the decomposition with genuinely
-# different feasible points.
+# Node layout: 0 = source, 1..m = demands, m+1..m+n = supplies, m+n+1 =
+# sink.  Arc (demand i -> supply j) carries x_ij.  Capacities are the
+# instance's rate units (rates times inst.scale, computed once per
+# instance), so capacities and flows are Python ints and the arithmetic
+# stays exact; the "infinite" capacity on instance edges, 2 * total_units +
+# 1, exceeds every finite arc's capacity put together, so no cut can afford
+# it.  Only _Transport reads the layout: other modules read the solved
+# network through assignment(), scc_labels() (the residual SCCs the pooling
+# decomposition is made of) and cut_demands() (the min cut the gap reads).
+# order_seed permutes the edge arcs so tests can seed the decomposition with
+# genuinely different feasible points.
 # ---------------------------------------------------------------------------
 
 _DINIC_SOURCE = r"""
@@ -434,21 +437,48 @@ _INT64_MAX = (1 << 63) - 1
 FREE, IN, OUT = 0, 1, 2
 
 
-class _Network:
-    def __init__(self, n_nodes: int, source: int, sink: int, inf: int):
-        self.n_nodes = n_nodes
-        self.source = source
-        self.sink = sink
+class _Transport:
+    """The transportation network of inst and its exact max flow.
+
+    It alone reads its nodes and arcs: callers solve with max_flow() and
+    read the solved network through assignment(), scc_labels() and
+    cut_demands().
+
+    force(i, IN) makes demand i's source arc uncapacitated and force(i, OUT)
+    gives it an uncapacitated arc to the sink, so a min cut keeps i on the
+    source or the sink side.  The demands on the source side of a min cut
+    then minimize mu(N(C)) - nu(C) over the sets C the forcing allows, and
+    the cut's value is that minimum plus nu of every demand.
+    """
+
+    def __init__(self, inst: ProblemInstance, order_seed: int = 0):
+        m, n = inst.m, inst.n
+        self.inst = inst
+        self.n_nodes = m + n + 2
+        self.source = 0
+        self.sink = m + n + 1
         # no arc capacity exceeds inf
-        self.inf = inf
+        self.inf = 2 * inst.total_units + 1
         self.arc_to: list[int] = []
         # residual capacities; arc a ^ 1 is the reverse of arc a
         self.res: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
+        self.adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
         # value of the flow the arcs carry
         self.flow = 0
         # (arc count, int64 buffers, their addresses) for the C loop
         self._layout: tuple = (-1,)
+        self.source_arc = [-1] + [self.add_arc(0, i, nu)
+                                  for i, nu in enumerate(inst.demand_units, 1)]
+        self.sink_arc: dict[int, int] = {}
+        self.mode = [FREE] * (m + 1)
+        edge_order = list(inst.sorted_edges)
+        if order_seed:
+            random.Random(order_seed).shuffle(edge_order)
+        self.edge_arc: dict[tuple[int, int], int] = {}
+        for i, j in edge_order:
+            self.edge_arc[(i, j)] = self.add_arc(i, m + j, self.inf)
+        self.supply_arc = [-1] + [self.add_arc(m + j, self.sink, mu)
+                                  for j, mu in enumerate(inst.supply_units, 1)]
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         a = len(self.arc_to)
@@ -547,9 +577,10 @@ class _Network:
                 array("q", bytes(32 * self.n_nodes)))
         return len(self.arc_to), bufs, [b.buffer_info()[0] for b in bufs]
 
-    def sink_blocked(self) -> list[bool]:
-        """Nodes with no residual path to the sink.  After max_flow() they
-        form the source side of the min cut with the largest source side."""
+    def cut_demands(self) -> list[int]:
+        """The demands with no residual path to the sink, in order.  After
+        max_flow() they are the demands on the source side of the min cut
+        with the largest source side."""
         res, to, adj = self.res, self.arc_to, self.adj
         blocked = [True] * self.n_nodes
         blocked[self.sink] = False
@@ -560,35 +591,59 @@ class _Network:
                 if blocked[u] and res[a ^ 1] > 0:
                     blocked[u] = False
                     queue.append(u)
-        return blocked
+        return [i for i in range(1, self.inst.m + 1) if blocked[i]]
 
-
-class _Transport(_Network):
-    """The transportation network of inst.
-
-    force(i, IN) makes demand i's source arc uncapacitated and force(i, OUT)
-    gives it an uncapacitated arc to the sink, so a min cut keeps i on the
-    source or the sink side.  The demands on the source side of a min cut
-    then minimize mu(N(C)) - nu(C) over the sets C the forcing allows, and
-    the cut's value is that minimum plus nu of every demand.
-    """
-
-    def __init__(self, inst: ProblemInstance, order_seed: int = 0):
-        m, n = inst.m, inst.n
-        super().__init__(m + n + 2, 0, m + n + 1, 2 * inst.total_units + 1)
-        self.inst = inst
-        self.source_arc = [-1] + [self.add_arc(0, i, nu)
-                                  for i, nu in enumerate(inst.demand_units, 1)]
-        self.sink_arc: dict[int, int] = {}
-        self.mode = [FREE] * (m + 1)
-        edge_order = list(inst.sorted_edges)
-        if order_seed:
-            random.Random(order_seed).shuffle(edge_order)
-        self.edge_arc: dict[tuple[int, int], int] = {}
-        for i, j in edge_order:
-            self.edge_arc[(i, j)] = self.add_arc(i, m + j, self.inf)
-        self.supply_arc = [-1] + [self.add_arc(m + j, self.sink, mu)
-                                  for j, mu in enumerate(inst.supply_units, 1)]
+    def scc_labels(self) -> list[int]:
+        """Strongly connected component label of each demand, then each
+        supply, in the residual graph, whose arcs are the arcs with res > 0
+        (Tarjan, iterative, over every node)."""
+        adj, to, res = self.adj, self.arc_to, self.res
+        size = self.n_nodes
+        index = [-1] * size
+        low = [0] * size
+        comp = [-1] * size
+        next_arc = [0] * size
+        on_stack = [False] * size
+        stack: list[int] = []
+        count = labels = 0
+        for root in range(size):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = count
+            count += 1
+            stack.append(root)
+            on_stack[root] = True
+            call = [root]
+            while call:
+                u = call[-1]
+                k = next_arc[u]
+                if k < len(adj[u]):
+                    next_arc[u] = k + 1
+                    a = adj[u][k]
+                    if not res[a]:
+                        continue
+                    v = to[a]
+                    if index[v] < 0:
+                        index[v] = low[v] = count
+                        count += 1
+                        stack.append(v)
+                        on_stack[v] = True
+                        call.append(v)
+                    elif on_stack[v] and index[v] < low[u]:
+                        low[u] = index[v]
+                    continue
+                call.pop()
+                if call and low[u] < low[call[-1]]:
+                    low[call[-1]] = low[u]
+                if low[u] == index[u]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = labels
+                        if w == u:
+                            break
+                    labels += 1
+        return comp[1:-1]
 
     def _set_cap(self, a: int, cap: int) -> None:
         self.res[a] = cap - self.res[a ^ 1]
@@ -640,21 +695,15 @@ class _Transport(_Network):
         return Assignment(self.inst.m, self.inst.n, entries)
 
 
-def _solved_network(inst: ProblemInstance, order_seed: int = 0) -> tuple[_Transport, bool]:
-    net = _Transport(inst, order_seed=order_seed)
-    return net, net.max_flow() == inst.total_units
-
-
 def is_feasible(inst: ProblemInstance) -> bool:
     """True iff the polytope is non-empty (all demand routable)."""
-    _net, ok = _solved_network(inst)
-    return ok
+    return _Transport(inst).max_flow() == inst.total_units
 
 
 def _feasible_network(inst: ProblemInstance, order_seed: int = 0) -> _Transport:
     """inst's network carrying a saturating max flow: a feasible point."""
-    net, ok = _solved_network(inst, order_seed=order_seed)
-    if not ok:
+    net = _Transport(inst, order_seed=order_seed)
+    if net.max_flow() != inst.total_units:
         raise Infeasible("no feasible assignment: capacity region violated")
     return net
 

@@ -2,8 +2,9 @@
 
 An edge is redundant when it carries zero flow in every feasible assignment.
 All three structures come from one pass: the strongly connected components
-(SCCs) of the residual graph of a single feasible point, read off the arcs of
-core's solved integer flow network with no copy of the point.  An edge is
+(SCCs) of the residual graph of a single feasible point, which core's solved
+integer flow network labels in place (one Tarjan pass over its residual
+arcs, `_Transport.scc_labels`) with no copy of the point.  An edge is
 redundant exactly when its ends lie in different SCCs; the SCCs are the
 pooling blocks, each of which pools completely on its own; and the pooling
 DAG is the condensation of the residual graph, the transportation-polytope
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import ProblemInstance, _edge_pair, _feasible_network, _Network
+from .core import ProblemInstance, _edge_pair, _feasible_network
 from .errors import EdgeAlreadyPresent, IndexOutOfRange
 
 __all__ = [
@@ -31,58 +32,6 @@ __all__ = [
     "crp_decomposition",
     "ssc_basis",
 ]
-
-
-def _scc_labels(net: _Network) -> list[int]:
-    """Strongly connected component label of every node of net's residual
-    graph, whose arcs are the arcs with res > 0 (Tarjan, iterative)."""
-    adj, to, res = net.adj, net.arc_to, net.res
-    size = net.n_nodes
-    index = [-1] * size
-    low = [0] * size
-    comp = [-1] * size
-    next_arc = [0] * size
-    on_stack = [False] * size
-    stack: list[int] = []
-    count = labels = 0
-    for root in range(size):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        call = [root]
-        while call:
-            u = call[-1]
-            k = next_arc[u]
-            if k < len(adj[u]):
-                next_arc[u] = k + 1
-                a = adj[u][k]
-                if not res[a]:
-                    continue
-                v = to[a]
-                if index[v] < 0:
-                    index[v] = low[v] = count
-                    count += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                    call.append(v)
-                elif on_stack[v] and index[v] < low[u]:
-                    low[u] = index[v]
-                continue
-            call.pop()
-            if call and low[u] < low[call[-1]]:
-                low[call[-1]] = low[u]
-            if low[u] == index[u]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = labels
-                    if w == u:
-                        break
-                labels += 1
-    return comp
 
 
 @dataclass(frozen=True)
@@ -232,8 +181,7 @@ def crp_decomposition(
     numbering is stable and matches the usual drawing order.
     """
     m, n = inst.m, inst.n
-    # network nodes 1..m+n are the demands, then the supplies
-    comp = _scc_labels(_feasible_network(inst, order_seed=order_seed))[1:-1]
+    comp = _feasible_network(inst, order_seed=order_seed).scc_labels()
     label_of_scc: dict[int, int] = {}
     labels = [0] * (m + n)
     position = [2 * i - 1 for i in range(1, m + 1)] + [2 * j for j in range(1, n + 1)]

@@ -49,10 +49,6 @@ class EdgeAlreadyPresent(ProcflexError):
     """Attempted to add an edge that is already in the graph."""
 
 
-class EdgeNotPresent(ProcflexError):
-    """Referenced an edge that is not in the graph."""
-
-
 class IndexOutOfRange(ProcflexError):
     """A vertex index is outside the instance's index sets."""
 
@@ -63,10 +59,6 @@ class AlreadyCrp(ProcflexError):
 
 class InvalidK(ProcflexError):
     """A cycle-step vector violates the schedule family constraints."""
-
-
-class NotAPartition(ProcflexError):
-    """A supplied cover of the demand set is not a partition."""
 
 
 class GapUndefined(ProcflexError):
@@ -87,7 +79,3 @@ class VerificationFailed(ProcflexError):
 
 class InvariantViolation(ProcflexError):
     """An internal invariant failed; indicates a bug, not bad input."""
-
-
-class NotFeasiblePoint(ProcflexError):
-    """A claimed assignment does not satisfy the polytope constraints."""

@@ -15,14 +15,17 @@ keys do not involve eps, so a sweep's eps values share each replication's
 streams: a replication draws each chunk's uniforms once and runs every eps
 value on them side by side (common random numbers across loads).
 
-Every campaign runs its steps chunk by chunk in a small C loop compiled on
-first use (`_kernel`), which also thresholds the uniforms into arrivals.  A
-second C function sums the post-warmup rows for the accumulator whenever
-every integer it forms is exact in a double ((m * qmax)^2 and rows * qmax
-below 2^53, qmax the chunk's largest queue value).  Other chunks take
-`_RepAccum.add`, the same sums in numpy.  Where the library cannot be built,
-the steps run in a Python loop and every chunk takes `_RepAccum.add`.  All
-paths give identical results.
+One `_Campaign` object holds all of a simulate call's or a sweep's state:
+its checked arguments, its blocks, its servers in CSR form and the chunk
+buffers the C loops write, with their addresses.  Every campaign runs its
+steps chunk by chunk in a small C loop compiled on first use (`_kernel`),
+which also thresholds the uniforms into arrivals.  A second C function sums
+the post-warmup rows for the accumulator whenever every integer it forms is
+exact in a double ((m * qmax)^2 and rows * qmax below 2^53, qmax the
+chunk's largest queue value).  Other chunks take `_RepAccum.add`, the same
+sums in numpy.  Where the library cannot be built, the steps run in a
+Python loop and every chunk takes `_RepAccum.add`.  All paths give
+identical results.
 """
 
 from __future__ import annotations
@@ -210,12 +213,13 @@ class _RepAccum:
     """Post-warmup sums of one replication, added chunk by chunk, so both
     step loops give the same floating-point results bit for bit."""
 
-    def __init__(self, m: int, comp_cols: list[np.ndarray]):
+    def __init__(self, m: int, pooled: list[np.ndarray]):
         self.sum_q = np.zeros(m)
         self.sum_perp = 0.0
         self.sum_norm = 0.0
         self.samples = 0
-        self.comp_cols = comp_cols
+        # the 0-based queues of each block of two or more queues
+        self.pooled = pooled
 
     def add(self, qarr: np.ndarray) -> None:
         if qarr.shape[0] == 0:
@@ -225,9 +229,7 @@ class _RepAccum:
         sq = w * w
         self.sum_norm += float(np.sqrt(sq.sum(axis=1)).sum())
         perp_sq = np.zeros(qarr.shape[0])
-        for cols in self.comp_cols:
-            if len(cols) == 1:
-                continue
+        for cols in self.pooled:
             s1 = w[:, cols].sum(axis=1)
             perp_sq += sq[:, cols].sum(axis=1) - s1 * s1 / len(cols)
         # clamp tiny negatives from cancellation before the square root
@@ -253,12 +255,12 @@ class _RepAccum:
 # often.  simulate() refuses runs whose queue lengths could leave int64.
 #
 # row_sums gives, for rows x m queue values, the column sums and each row's
-# sqrt(sum q^2) and sqrt(max(perp^2, 0)), perp^2 summed from 0.0 block by
-# block (singletons skipped) as _RepAccum.add does.  When (m * qmax)^2 and
-# rows * qmax are below 2^53 every integer it forms is exact in a double, so
-# its values equal _RepAccum.add's bit for bit; otherwise it returns 0
-# without writing and the caller takes _RepAccum.add.  94906265 is the
-# largest x with x^2 < 2^53; dividing the bounds avoids int64 overflow.
+# sqrt(sum q^2) and sqrt(max(perp^2, 0)), perp^2 summed from 0.0 over the
+# blocks of two or more queues as _RepAccum.add does.  When (m * qmax)^2
+# and rows * qmax are below 2^53 every integer it forms is exact in a
+# double, so its values equal _RepAccum.add's bit for bit; otherwise it
+# returns 0 without writing and the caller takes _RepAccum.add.  94906265 is
+# the largest x with x^2 < 2^53; dividing the bounds avoids int64 overflow.
 _KERNEL_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -382,114 +384,20 @@ def _python_steps(u, p, levels, ties, base, off, cand, mu, q, qarr) -> None:
     q[:] = cur
 
 
-@dataclass(frozen=True)
 class _Campaign:
-    """Checked arguments of one simulate call or heavy-traffic sweep, and
-    what all of its runs share: the blocks and the service side.
+    """One simulate call or heavy-traffic sweep: its checked arguments, what
+    all of its runs share (the blocks and the service side) and the buffers
+    its replications step through, allocated once, with the addresses the C
+    loops take.
 
     ``probs[e]`` holds model e's arrival probabilities as floats and
     ``levels`` the arrival levels, which no eps changes.  ``base`` is the
     constant service of servers with one compatible queue; the other servers
     with positive rate (``servers``, 0-based) are listed in CSR form, server
-    k choosing among ``cand[off[k]:off[k + 1]]`` with rate ``mu[k]``.  The
-    blocks of two or more queues are in CSR form too: block b's 0-based
-    queues are ``block_cols[block_off[b]:block_off[b + 1]]``.
-    """
-
-    models: tuple[ArrivalModel, ...]
-    horizon: int
-    warmup: int
-    seed: int
-    replications: int
-    components: tuple[tuple[int, ...], ...]
-    comp_cols: list[np.ndarray]
-    probs: np.ndarray
-    levels: np.ndarray
-    base: np.ndarray
-    servers: tuple[int, ...]
-    off: np.ndarray
-    cand: np.ndarray
-    mu: np.ndarray
-    block_off: np.ndarray
-    block_cols: np.ndarray
-
-
-def _campaign(
-    inst: ProblemInstance, eps_values, horizon, warmup, seed, replications,
-    arrival_levels: Sequence[int] | None = None,
-) -> _Campaign:
-    """Check a campaign in simulate's order; the decomposition that checks
-    feasibility serves all of its eps values."""
-    if max(inst.m, inst.n) >= _MAX_VERTICES:
-        raise SizeLimitExceeded(
-            f"{inst.m} queues and {inst.n} servers; the simulator takes fewer"
-            f" than {_MAX_VERTICES} of each"
-        )
-    for j in range(inst.n):
-        if not inst.supply_adj[j]:
-            raise IsolatedServer(f"supply vertex {j + 1} has no edges")
-    models = [make_arrival_model(inst, eps, arrival_levels) for eps in eps_values]
-    _, mu = _integer_rates(inst)
-    try:
-        decomp = crp_decomposition(inst)
-    except Infeasible:
-        raise Infeasible(
-            "nominal rates do not fit the graph; the chain would be unstable"
-        ) from None
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ValueError("horizon must be a positive integer")
-    if warmup is None:
-        warmup = horizon // 10
-    if not isinstance(warmup, int) or isinstance(warmup, bool) or not 0 <= warmup < horizon:
-        raise ValueError("warmup must be an integer in [0, horizon)")
-    if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
-        raise ValueError("replications must be a positive integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    # a queue holds at most horizon * level_i and one slot serves at most
-    # sum(mu), which bounds every value of the step loops
-    top = horizon * max(sum(md.levels) for md in models) + sum(mu)
-    if top >= 1 << 63:
-        raise SizeLimitExceeded(
-            f"horizon x sum of arrival levels + sum of service rates is {top};"
-            f" queue lengths must stay below 2^63"
-        )
-    cells = inst.m * min(horizon, _CHUNK)
-    if cells > MAX_CHUNK_CELLS:
-        raise SizeLimitExceeded(
-            f"queues x min(horizon, {_CHUNK}) is {cells}; a chunk of the"
-            f" simulator holds at most {MAX_CHUNK_CELLS} queue values"
-        )
-
-    # a block without demands holds no queue
-    components = tuple(comp.demands for comp in decomp.components if comp.demands)
-    base = np.zeros(inst.m, dtype=np.int64)
-    servers, off, cand = [], [0], []
-    for j, nbrs in enumerate(inst.supply_adj):
-        if len(nbrs) == 1:
-            base[nbrs[0] - 1] += mu[j]
-        elif mu[j] > 0:
-            servers.append(j)
-            cand += [i - 1 for i in nbrs]
-            off.append(len(cand))
-    comp_cols = [np.array([i - 1 for i in comp], dtype=np.intp) for comp in components]
-    pooled = [cols for cols in comp_cols if len(cols) > 1]
-    return _Campaign(
-        models=tuple(models), horizon=horizon, warmup=warmup, seed=seed,
-        replications=replications, components=components, comp_cols=comp_cols,
-        probs=np.array([[float(p) for p in md.probs] for md in models]),
-        levels=np.array(models[0].levels, dtype=np.int64),
-        base=base, servers=tuple(servers), off=np.array(off, dtype=np.int64),
-        cand=np.array(cand, dtype=np.int64),
-        mu=np.array([mu[j] for j in servers], dtype=np.int64),
-        block_off=np.cumsum([0] + [len(c) for c in pooled], dtype=np.int64),
-        block_cols=np.array([i for cols in pooled for i in cols], dtype=np.int64),
-    )
-
-
-class _Chunk:
-    """The buffers a campaign's replications step through, allocated once,
-    with the addresses the C loops take.
+    k choosing among ``cand[off[k]:off[k + 1]]`` with rate ``mu[k]``.
+    ``pooled`` lists the 0-based queues of each block of two or more queues;
+    ``row_sums`` reads the same blocks in CSR form, block b's queues being
+    ``block_cols[block_off[b]:block_off[b + 1]]``.
 
     A chunk of ``length`` steps keeps its uniforms in ``u[:length * m]``
     read as an (m, length) array, one row per queue, and its tie draws
@@ -497,15 +405,85 @@ class _Chunk:
     ``q[e]`` is eps value e's queue vector, carried from chunk to chunk.
     """
 
-    def __init__(self, camp: _Campaign):
-        m = len(camp.base)
-        width = min(_CHUNK, camp.horizon)
+    def __init__(
+        self, inst: ProblemInstance, eps_values, horizon, warmup, seed, replications,
+        arrival_levels: Sequence[int] | None = None,
+    ):
+        # the checks run in simulate's order; the decomposition that checks
+        # feasibility serves all of the eps values
+        if max(inst.m, inst.n) >= _MAX_VERTICES:
+            raise SizeLimitExceeded(
+                f"{inst.m} queues and {inst.n} servers; the simulator takes fewer"
+                f" than {_MAX_VERTICES} of each"
+            )
+        for j in range(inst.n):
+            if not inst.supply_adj[j]:
+                raise IsolatedServer(f"supply vertex {j + 1} has no edges")
+        models = [make_arrival_model(inst, eps, arrival_levels) for eps in eps_values]
+        _, mu = _integer_rates(inst)
+        try:
+            decomp = crp_decomposition(inst)
+        except Infeasible:
+            raise Infeasible(
+                "nominal rates do not fit the graph; the chain would be unstable"
+            ) from None
+        if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
+            raise ValueError("horizon must be a positive integer")
+        if warmup is None:
+            warmup = horizon // 10
+        if not isinstance(warmup, int) or isinstance(warmup, bool) or not 0 <= warmup < horizon:
+            raise ValueError("warmup must be an integer in [0, horizon)")
+        if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
+            raise ValueError("replications must be a positive integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        # a queue holds at most horizon * level_i and one slot serves at most
+        # sum(mu), which bounds every value of the step loops
+        top = horizon * max(sum(md.levels) for md in models) + sum(mu)
+        if top >= 1 << 63:
+            raise SizeLimitExceeded(
+                f"horizon x sum of arrival levels + sum of service rates is {top};"
+                f" queue lengths must stay below 2^63"
+            )
+        m = inst.m
+        cells = m * min(horizon, _CHUNK)
+        if cells > MAX_CHUNK_CELLS:
+            raise SizeLimitExceeded(
+                f"queues x min(horizon, {_CHUNK}) is {cells}; a chunk of the"
+                f" simulator holds at most {MAX_CHUNK_CELLS} queue values"
+            )
+
+        self.m, self.models, self.horizon, self.warmup = m, tuple(models), horizon, warmup
+        self.seed, self.replications = seed, replications
+        # a block without demands holds no queue
+        self.components = tuple(comp.demands for comp in decomp.components if comp.demands)
+        self.base = np.zeros(m, dtype=np.int64)
+        servers, off, cand = [], [0], []
+        for j, nbrs in enumerate(inst.supply_adj):
+            if len(nbrs) == 1:
+                self.base[nbrs[0] - 1] += mu[j]
+            elif mu[j] > 0:
+                servers.append(j)
+                cand += [i - 1 for i in nbrs]
+                off.append(len(cand))
+        self.servers = tuple(servers)
+        self.off = np.array(off, dtype=np.int64)
+        self.cand = np.array(cand, dtype=np.int64)
+        self.mu = np.array([mu[j] for j in servers], dtype=np.int64)
+        self.probs = np.array([[float(p) for p in md.probs] for md in models])
+        self.levels = np.array(models[0].levels, dtype=np.int64)
+        self.pooled = [np.array([i - 1 for i in comp], dtype=np.intp)
+                       for comp in self.components if len(comp) > 1]
+        self.block_off = np.cumsum([0] + [len(c) for c in self.pooled], dtype=np.int64)
+        self.block_cols = np.array([i for cols in self.pooled for i in cols], dtype=np.int64)
+
+        width = min(_CHUNK, horizon)
         self.u = np.empty(width * m)
-        self.ties = np.empty(width * len(camp.servers))
-        self.q = np.zeros((len(camp.models), m), dtype=np.int64)
+        self.ties = np.empty(width * len(servers))
+        self.q = np.zeros((len(models), m), dtype=np.int64)
         self.qarr = np.empty(width * m, dtype=np.int64)
         self.s = np.empty(m, dtype=np.int64)
-        self.tied = np.empty(len(camp.cand), dtype=np.int64)
+        self.tied = np.empty(len(cand), dtype=np.int64)
         self.colsum = np.empty(m, dtype=np.int64)
         self.norm = np.empty(width)
         self.perp = np.empty(width)
@@ -515,17 +493,17 @@ class _Chunk:
 
         # per eps value e: maxweight_steps' arguments after (length, m, k)
         self.steps_args = [
-            tuple(map(addr, (self.u, p, camp.levels, self.ties, camp.base, camp.off,
-                             camp.cand, camp.mu, q, self.s, self.tied, self.qarr)))
-            for p, q in zip(camp.probs, self.q)
+            tuple(map(addr, (self.u, p, self.levels, self.ties, self.base, self.off,
+                             self.cand, self.mu, q, self.s, self.tied, self.qarr)))
+            for p, q in zip(self.probs, self.q)
         ]
         self.qarr_addr = addr(self.qarr)
         # row_sums' arguments after (rows, m, qarr)
-        self.sums_args = (len(camp.block_off) - 1, *map(addr, (
-            camp.block_off, camp.block_cols, self.colsum, self.norm, self.perp)))
+        self.sums_args = (len(self.pooled), *map(addr, (
+            self.block_off, self.block_cols, self.colsum, self.norm, self.perp)))
 
 
-def _run_replication(camp: _Campaign, rep: int, chunk: _Chunk) -> list[_RepAccum]:
+def _run_replication(camp: _Campaign, rep: int) -> list[_RepAccum]:
     """One replication at every eps value of the campaign, side by side.
 
     Stream keys do not involve eps, so each chunk's uniforms and tie draws
@@ -533,33 +511,33 @@ def _run_replication(camp: _Campaign, rep: int, chunk: _Chunk) -> list[_RepAccum
     loop) per eps and chunk, then one `row_sums` call (or `_RepAccum.add`)
     for the post-warmup rows.
     """
-    m, k = len(camp.base), len(camp.servers)
+    m, k = camp.m, len(camp.servers)
     arr_gens = [_stream(camp.seed, rep, _ARRIVAL_STREAM, i) for i in range(m)]
     tie_gens = [_stream(camp.seed, rep, _TIE_STREAM, j) for j in camp.servers]
-    accs = [_RepAccum(m, camp.comp_cols) for _ in camp.models]
+    accs = [_RepAccum(m, camp.pooled) for _ in camp.models]
     lib = _kernel()
-    chunk.q.fill(0)
+    camp.q.fill(0)
     done = 0
     while done < camp.horizon:
         length = min(_CHUNK, camp.horizon - done)
-        u = chunk.u[:length * m].reshape(m, length)
-        ties = chunk.ties[:length * k].reshape(k, length)
+        u = camp.u[:length * m].reshape(m, length)
+        ties = camp.ties[:length * k].reshape(k, length)
         for i, g in enumerate(arr_gens):
             g.random(out=u[i])
         for j, g in enumerate(tie_gens):
             g.random(out=ties[j])
-        qarr = chunk.qarr[:length * m].reshape(length, m)
+        qarr = camp.qarr[:length * m].reshape(length, m)
         start = max(0, camp.warmup - done)
         rows = length - start
         for e, acc in enumerate(accs):
             if lib is None:
                 _python_steps(u, camp.probs[e], camp.levels, ties, camp.base, camp.off,
-                              camp.cand, camp.mu, chunk.q[e], qarr)
+                              camp.cand, camp.mu, camp.q[e], qarr)
             else:
-                lib.maxweight_steps(length, m, k, *chunk.steps_args[e])
+                lib.maxweight_steps(length, m, k, *camp.steps_args[e])
             if lib is not None and rows > 0 and lib.row_sums(
-                    rows, m, chunk.qarr_addr + start * m * 8, *chunk.sums_args):
-                acc.add_rows(chunk.colsum, chunk.norm[:rows], chunk.perp[:rows])
+                    rows, m, camp.qarr_addr + start * m * 8, *camp.sums_args):
+                acc.add_rows(camp.colsum, camp.norm[:rows], camp.perp[:rows])
             else:
                 acc.add(qarr[start:])
         done += length
@@ -568,7 +546,6 @@ def _run_replication(camp: _Campaign, rep: int, chunk: _Chunk) -> list[_RepAccum
 
 def _pool(camp: _Campaign, model: ArrivalModel, accs: Sequence[_RepAccum]) -> SimStats:
     """Pool the replications of one eps value."""
-    m = len(camp.base)
     rep_q_means = []
     rep_perp = []
     rep_norm = []
@@ -583,7 +560,7 @@ def _pool(camp: _Campaign, model: ArrivalModel, accs: Sequence[_RepAccum]) -> Si
         rep_norm.append(acc.sum_norm / samples)
 
     pooled_q = tuple(
-        float(np.mean([r[i] for r in rep_q_means])) for i in range(m)
+        float(np.mean([r[i] for r in rep_q_means])) for i in range(camp.m)
     )
     return SimStats(
         eps=model.eps,
@@ -605,8 +582,7 @@ def _pool(camp: _Campaign, model: ArrivalModel, accs: Sequence[_RepAccum]) -> Si
 
 def _sweep(camp: _Campaign) -> list[SimStats]:
     """Run every replication at every eps value; one SimStats per eps."""
-    chunk = _Chunk(camp)
-    runs = [_run_replication(camp, rep, chunk) for rep in range(camp.replications)]
+    runs = [_run_replication(camp, rep) for rep in range(camp.replications)]
     return [_pool(camp, model, accs) for model, accs in zip(camp.models, zip(*runs))]
 
 
@@ -631,7 +607,7 @@ def simulate(
     would hold more than MAX_CHUNK_CELLS queue values (queues x
     min(horizon, 32768)).
     """
-    camp = _campaign(inst, [eps], horizon, warmup, seed, replications, arrival_levels)
+    camp = _Campaign(inst, [eps], horizon, warmup, seed, replications, arrival_levels)
     return _sweep(camp)[0]
 
 
@@ -716,7 +692,7 @@ def heavy_traffic_check(
     if not eps_list:
         raise ValueError("need at least one eps value")
     eps_vals = sorted({_check_eps(e) for e in eps_list}, reverse=True)
-    camp = _campaign(inst, eps_vals, horizon, warmup, seed, replications, arrival_levels)
+    camp = _Campaign(inst, eps_vals, horizon, warmup, seed, replications, arrival_levels)
     components = camp.components
     nu = camp.models[0].rates
     limit_var = camp.models[0].limit_variances

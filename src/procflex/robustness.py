@@ -162,8 +162,7 @@ def _gap_report(inst: ProblemInstance, dec: CrpDecomposition) -> GapReport:
         if delta is None or v < delta:
             delta, tops = v, []
         if v == delta:
-            blocked = net.sink_blocked()
-            tops.append([i for i in range(1, inst.m + 1) if blocked[i]])
+            tops.append(net.cut_demands())
     alt = min((v for v, _net in _chain_cuts(inst, _alt_chains(dec))), default=None)
     if delta is None:
         return GapReport(None, None, None if alt is None else Fraction(alt, inst.scale))

@@ -23,15 +23,25 @@ from procflex.core import (
 )
 from procflex.decomposition import crp_decomposition
 from procflex.errors import (
-    EdgeNotPresent,
     GapUndefined,
     Infeasible,
-    NotAPartition,
-    NotFeasiblePoint,
+    ProcflexError,
     SizeLimitExceeded,
     UnbalancedTotals,
 )
 from procflex.robustness import crp_gap
+
+
+class EdgeNotPresent(ProcflexError):
+    """Referenced an edge that is not in the graph."""
+
+
+class NotAPartition(ProcflexError):
+    """A supplied cover of the demand set is not a partition."""
+
+
+class NotFeasiblePoint(ProcflexError):
+    """A claimed assignment does not satisfy the polytope constraints."""
 
 
 def _forest_components(m: int, n: int, edges) -> int | None:

@@ -24,7 +24,13 @@ from .conftest import (
     random_instance_with_zero_rates,
 )
 from . import oracles
-from .oracles import _forest_components, check_assignment, hall_feasible, is_extreme_point
+from .oracles import (
+    NotFeasiblePoint,
+    _forest_components,
+    check_assignment,
+    hall_feasible,
+    is_extreme_point,
+)
 
 
 def test_validate_minimal_identity():
@@ -211,8 +217,16 @@ def test_is_extreme_point_examples():
 
 def test_is_extreme_point_rejects_bad_sums():
     inst = pf.make_instance([2, 1], [2, 1], [(1, 1), (2, 2)])
-    with pytest.raises(pf.NotFeasiblePoint):
+    with pytest.raises(NotFeasiblePoint):
         is_extreme_point(inst, pf.Assignment(2, 2, {(1, 1): Fraction(1)}))
+
+
+def test_make_instance_refuses_an_empty_side():
+    # such an instance would make crp_decomposition, simulate and
+    # heavy_traffic_check fail with a bare "max() arg is an empty sequence"
+    for demand, supply in (([], []), ([0], []), ([], [0, 0])):
+        with pytest.raises(ValueError, match="^an instance needs at least one demand and one"):
+            pf.make_instance(demand, supply, [])
 
 
 def test_gcd_combined_values():
@@ -405,13 +419,58 @@ def test_flow_loops_agree_on_warm_started_constrained_cuts(monkeypatch):
         for inst in insts:
             dec = pf.crp_decomposition(inst)
             chains = list(_gap_chains(dec)) + list(_alt_chains(dec))
-            out += [(value, net.flow, list(net.res), net.sink_blocked())
+            out += [(value, net.flow, list(net.res), net.cut_demands())
                     for value, net in _chain_cuts(inst, chains)]
         return out
 
     runs = [cuts() for _loop in flow_loops(monkeypatch)]
     assert runs[0] == runs[1]
     assert len(runs[0]) >= 100
+
+
+def constrained_minimizers(inst, modes):
+    """Brute force over the demand sets C that hold every IN demand and no OUT
+    demand: the minimum of f(C) = mu(N(C)) - nu(C) in rate units, and the
+    union of the sets that attain it."""
+    best, union = None, set()
+    for bits in range(1 << inst.m):
+        c = {i for i in range(1, inst.m + 1) if bits >> (i - 1) & 1}
+        if any((mode == IN) != (i in c) for i, mode in enumerate(modes, 1) if mode != FREE):
+            continue
+        reached = {j for i in c for j in inst.demand_adj[i - 1]}
+        f = (sum(inst.supply_units[j - 1] for j in reached)
+             - sum(inst.demand_units[i - 1] for i in c))
+        if best is None or f < best:
+            best, union = f, set()
+        if f == best:
+            union |= c
+    return best, sorted(union)
+
+
+def test_cut_demands_are_the_union_of_the_constrained_minimizers(monkeypatch):
+    rng = random.Random(1609)
+    insts = [random_feasible_instance(rng, 6, 6) for _ in range(12)]
+    insts += [random_feasible_instance(rng, 6, 6, 4, denominators=(1, 2, 3, 5))
+              for _ in range(12)]
+    insts += [random_instance_with_zero_rates(rng, 4, 4) for _ in range(12)]
+    # every step sets every demand's mode on one network; the first forces none
+    cases = []
+    for inst in insts:
+        steps = [[rng.choice((FREE, FREE, IN, OUT)) for _ in range(inst.m)] for _ in range(4)]
+        cases.append((inst, [[FREE] * inst.m] + steps))
+    assert max(inst.m for inst in insts) <= 6 and max(inst.n for inst in insts) <= 6
+    for _loop in flow_loops(monkeypatch):
+        proper = 0
+        for inst, steps in cases:
+            net = _Transport(inst)
+            for modes in steps:
+                for i, mode in enumerate(modes, 1):
+                    net.force(i, mode)
+                least, union = constrained_minimizers(inst, modes)
+                assert net.max_flow() - inst.total_units == least
+                assert net.cut_demands() == union
+                proper += 0 < len(union) < inst.m
+        assert proper >= 20
 
 
 def test_flow_past_int64_runs_the_python_loop(monkeypatch):

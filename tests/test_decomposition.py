@@ -15,6 +15,8 @@ from .conftest import (
 )
 from . import oracles
 from .oracles import (
+    EdgeNotPresent,
+    NotAPartition,
     check_assignment,
     full_support_point,
     redundancy_oracle,
@@ -57,7 +59,7 @@ def test_redundancy_oracle_spot_checks(three_block_instance):
     assert redundancy_oracle(three_block_instance, (4, 5)) is False
     one = pf.make_instance([1], [1], [(1, 1)])
     assert redundancy_oracle(one, (1, 1)) is False
-    with pytest.raises(pf.EdgeNotPresent):
+    with pytest.raises(EdgeNotPresent):
         redundancy_oracle(three_block_instance, (5, 1))
 
 
@@ -106,13 +108,13 @@ def test_work_bound(three_block_instance, monkeypatch):
     # Tarjan steps past each arc of its network once, so the arcs handed to
     # the one SCC pass count its scan steps
     handed = []
-    scc_labels = decomposition._scc_labels
+    scc_labels = core._Transport.scc_labels
 
     def counting(net):
         handed.append(sum(len(arcs) for arcs in net.adj))
         return scc_labels(net)
 
-    monkeypatch.setattr(decomposition, "_scc_labels", counting)
+    monkeypatch.setattr(core._Transport, "scc_labels", counting)
     cases = [three_block_instance]
     rng = random.Random(99)
     for _ in range(20):
@@ -334,11 +336,11 @@ def test_verify_decomposition_orders(three_block_instance, small_tree_instance):
 
 
 def test_verify_decomposition_partition_errors(three_block_instance):
-    with pytest.raises(pf.NotAPartition):
+    with pytest.raises(NotAPartition):
         verify_decomposition(three_block_instance, [{1, 2}, {2, 3}, {4, 5}])
-    with pytest.raises(pf.NotAPartition):
+    with pytest.raises(NotAPartition):
         verify_decomposition(three_block_instance, [{1, 2}, {3}])
-    with pytest.raises(pf.NotAPartition):
+    with pytest.raises(NotAPartition):
         verify_decomposition(three_block_instance, [set(), {1, 2, 3, 4, 5}])
 
 

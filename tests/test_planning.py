@@ -372,8 +372,8 @@ def test_neutral_edge_matches_per_edge_probes(four_pair_instance):
 
 def test_edge_what_ifs_solve_one_max_flow(monkeypatch, four_pair_instance):
     calls = []
-    max_flow = core._Network.max_flow
-    monkeypatch.setattr(core._Network, "max_flow", lambda net: calls.append(1) or max_flow(net))
+    max_flow = core._Transport.max_flow
+    monkeypatch.setattr(core._Transport, "max_flow", lambda net: calls.append(1) or max_flow(net))
 
     def flows(fn, *args):
         calls.clear()
