@@ -78,31 +78,29 @@ def best_single_edge(
 def _best_edge(dec: CrpDecomposition) -> tuple[tuple[int, int], EdgeEffect]:
     if dec.erp_number == 1:
         raise AlreadyCrp("graph already pools completely; every edge is neutral")
-    full = {
-        l for l, comp in enumerate(dec.components, start=1)
+    # each block's representative: its smallest demand and supply
+    first = {
+        l: (comp.demands[0], comp.supplies[0])
+        for l, comp in enumerate(dec.components, start=1)
         if comp.demands and comp.supplies
     }
-    if len(full) < 2:
+    if len(first) < 2:
         raise AlreadyCrp(
             "at most one block has both demands and supplies;"
             " no single edge can merge blocks"
         )
     dag = dec.dag
-    has_out = {a for (a, b) in dag.edges if b in full}
-    has_in = {b for (a, b) in dag.edges if a in full}
+    has_out = {a for (a, b) in dag.edges if b in first}
+    has_in = {b for (a, b) in dag.edges if a in first}
     # the blocks merged_by returns, with one reach set per sink and per source
-    up = {l: dag.ancestors(l) for l in full - has_out}
-    down = {l: dag.descendants(l) for l in full - has_in}
+    up = {l: dag.ancestors(l) for l in first.keys() - has_out}
+    down = {l: dag.descendants(l) for l in first.keys() - has_in}
     best: tuple[int, tuple[int, int]] | None = None
     for l_sink in sorted(up):
         for l_src in sorted(down):
             if l_sink == l_src:
                 continue
-            rep = (
-                min(dec.components[l_sink - 1].demands),
-                min(dec.components[l_src - 1].supplies),
-            )
-            cand = (-len(up[l_sink] & down[l_src]), rep)
+            cand = (-len(up[l_sink] & down[l_src]), (first[l_sink][0], first[l_src][1]))
             if best is None or cand < best:
                 best = cand
     if best is None:

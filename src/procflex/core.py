@@ -175,11 +175,13 @@ def _is_int(value) -> bool:
 
 
 def _edge_pair(edge) -> tuple[int, int]:
-    """The indices (i, j) of ``edge`` as ints; ValueError unless both are
-    integers, so 1.5 is neither truncated nor let through."""
+    """The indices (i, j) of ``edge`` as ints; ValueError unless it is a pair
+    of integers, so 1.5 is neither truncated nor let through."""
+    if len(edge) != 2:
+        raise ValueError(f"bad edge entry: {tuple(edge)!r}")
     i, j = edge
     if not (_is_int(i) and _is_int(j)):
-        raise ValueError(f"edge indices must be integers: {edge!r}")
+        raise ValueError(f"edge indices must be integers: {tuple(edge)!r}")
     return int(i), int(j)
 
 
@@ -211,9 +213,7 @@ def validate_instance(raw: Mapping) -> ProblemInstance:
     for e in edges_raw:
         if not isinstance(e, list):
             raise ValueError(f"edge entries must be lists: {e!r}")
-    demand = tuple(parse_rational(v) for v in demand_raw)
-    supply = tuple(parse_rational(v) for v in supply_raw)
-    return make_instance(demand, supply, [tuple(e) for e in edges_raw], m=m, n=n)
+    return make_instance(demand_raw, supply_raw, edges_raw, m=m, n=n)
 
 
 def make_instance(
@@ -230,13 +230,9 @@ def make_instance(
     n = len(supply_f) if n is None else n
     for side, rates in (("demand", demand_f), ("supply", supply_f)):
         for k, v in enumerate(rates, start=1):
-            if v < 0:
+            if v.numerator < 0:
                 raise NegativeRate(f"{side} {k} is negative: {v}")
-    edge_list = []
-    for e in edges:
-        if len(e) != 2:
-            raise ValueError(f"bad edge entry: {e!r}")
-        edge_list.append(_edge_pair(e))
+    edge_list = [_edge_pair(e) for e in edges]
     seen = set()
     for e in edge_list:
         i, j = e
@@ -271,18 +267,6 @@ class Assignment:
 
     def value(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), Fraction(0))
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        sums = [Fraction(0)] * self.m
-        for (i, _j), v in self.entries.items():
-            sums[i - 1] += v
-        return tuple(sums)
-
-    def col_sums(self) -> tuple[Fraction, ...]:
-        sums = [Fraction(0)] * self.n
-        for (_i, j), v in self.entries.items():
-            sums[j - 1] += v
-        return tuple(sums)
 
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.entries)

@@ -12,6 +12,10 @@ analogue of the Dulmage-Mendelsohn fine decomposition (Picard and Queyranne
 1980).  The block count is the effective resource pooling (ERP) number, and
 the per-block demand indicators span the subspace the queue-length vector
 collapses onto in heavy traffic.
+
+A decomposition stores only the instance's edges and one block label per
+vertex.  The redundant edges, the blocks and the DAG are read off the labels
+when first asked for, so adding an edge (`with_edge`) is a relabel.
 """
 
 from __future__ import annotations
@@ -47,25 +51,47 @@ class CrpComponent:
 class CrpDecomposition:
     """Pooling blocks: the residual SCCs, with the redundant edges between them.
 
+    Stored as the instance's edges and one block label per vertex:
     demand_labels[i-1] and supply_labels[j-1] are the 1-based labels of the
-    blocks holding demand i and supply j.
+    blocks holding demand i and supply j, numbered 1..d with no gaps.  The
+    redundant edges, the blocks and the DAG are read off them on first use.
     """
 
     m: int
     n: int
-    redundant_edges: frozenset[tuple[int, int]]
-    components: tuple[CrpComponent, ...]
+    edges: frozenset[tuple[int, int]]
     demand_labels: tuple[int, ...]
     supply_labels: tuple[int, ...]
 
-    @property
+    @cached_property
     def erp_number(self) -> int:
-        return len(self.components)
+        """The block count: the largest label, as labels run 1..d."""
+        return max(self.demand_labels + self.supply_labels)
 
     @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Every edge of the instance: the redundant ones and each block's."""
-        return self.redundant_edges.union(*(c.edges for c in self.components))
+    def redundant_edges(self) -> frozenset[tuple[int, int]]:
+        """The edges whose ends lie in different blocks."""
+        dl, sl = self.demand_labels, self.supply_labels
+        return frozenset([e for e in self.edges if dl[e[0] - 1] != sl[e[1] - 1]])
+
+    @cached_property
+    def components(self) -> tuple[CrpComponent, ...]:
+        """The blocks in label order, each with its demands and supplies in
+        ascending order and the edges both of whose ends it holds."""
+        dl, sl = self.demand_labels, self.supply_labels
+        demands: list[list[int]] = [[] for _ in range(self.erp_number)]
+        supplies: list[list[int]] = [[] for _ in demands]
+        kept: list[list[tuple[int, int]]] = [[] for _ in demands]
+        for i, label in enumerate(dl, start=1):
+            demands[label - 1].append(i)
+        for j, label in enumerate(sl, start=1):
+            supplies[label - 1].append(j)
+        for e in self.edges:
+            label = dl[e[0] - 1]
+            if label == sl[e[1] - 1]:
+                kept[label - 1].append(e)
+        blocks = zip(demands, supplies, kept)
+        return tuple(CrpComponent(tuple(d), tuple(s), frozenset(e)) for d, s, e in blocks)
 
     @cached_property
     def dag(self) -> CrpDag:
@@ -100,18 +126,21 @@ class CrpDecomposition:
 
         The blocks of merged_by(edge) become one, which keeps the lowest of
         their labels since that block holds their lowest vertex; the other
-        labels close up behind it.
+        labels close up behind it.  Only the labels and the edge set change.
         """
         i, j = _edge_pair(edge)
         merged = self.merged_by((i, j))
         low = min(merged, default=0)
         kept = [l for l in range(1, self.erp_number + 1) if l == low or l not in merged]
         relabel = {l: k for k, l in enumerate(kept, start=1)}
-        labels = [
-            relabel[low if l in merged else l]
-            for l in self.demand_labels + self.supply_labels
-        ]
-        return _from_labels(self.m, self.n, labels, self.edges | {(i, j)})
+        relabel.update(dict.fromkeys(merged, relabel.get(low)))
+        return CrpDecomposition(
+            self.m,
+            self.n,
+            self.edges | {(i, j)},
+            tuple(map(relabel.__getitem__, self.demand_labels)),
+            tuple(map(relabel.__getitem__, self.supply_labels)),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -126,36 +155,6 @@ class CrpDecomposition:
                 for c in self.components
             ],
         }
-
-
-def _from_labels(
-    m: int, n: int, labels: list[int], edges: frozenset[tuple[int, int]]
-) -> CrpDecomposition:
-    """Blocks from per-vertex labels (demand i at i-1, supply j at m+j-1).
-
-    An edge is kept by its block when both ends carry the block's label, and
-    is redundant otherwise.
-    """
-    members: list[tuple[list[int], list[int]]] = [([], []) for _ in range(max(labels))]
-    for i in range(1, m + 1):
-        members[labels[i - 1] - 1][0].append(i)
-    for j in range(1, n + 1):
-        members[labels[m + j - 1] - 1][1].append(j)
-    kept: list[list[tuple[int, int]]] = [[] for _ in members]
-    redundant = []
-    for i, j in edges:
-        label = labels[i - 1]
-        if label == labels[m + j - 1]:
-            kept[label - 1].append((i, j))
-        else:
-            redundant.append((i, j))
-    comps = tuple(
-        CrpComponent(tuple(d), tuple(s), frozenset(e))
-        for (d, s), e in zip(members, kept)
-    )
-    return CrpDecomposition(
-        m, n, frozenset(redundant), comps, tuple(labels[:m]), tuple(labels[m:])
-    )
 
 
 def crp_decomposition(
@@ -187,7 +186,7 @@ def crp_decomposition(
     position = [2 * i - 1 for i in range(1, m + 1)] + [2 * j for j in range(1, n + 1)]
     for v in sorted(range(m + n), key=position.__getitem__):
         labels[v] = label_of_scc.setdefault(comp[v], len(label_of_scc) + 1)
-    return _from_labels(m, n, labels, inst.edges)
+    return CrpDecomposition(m, n, inst.edges, tuple(labels[:m]), tuple(labels[m:]))
 
 
 @dataclass(frozen=True)
@@ -232,10 +231,6 @@ class CrpDag:
         """Labels that reach l, l itself included."""
         return self._reach(l, self._adjacency[1])
 
-    @property
-    def edge_multiplicity_total(self) -> int:
-        return sum(self.edges.values())
-
     def to_dict(self) -> dict:
         return {
             "d": self.d,
@@ -249,10 +244,6 @@ class SscBasis:
     collapse subspace."""
 
     vectors: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
 
 def ssc_basis(decomp: CrpDecomposition) -> SscBasis:

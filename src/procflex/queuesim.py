@@ -112,10 +112,6 @@ class ArrivalModel:
         """Variance with the mean pushed to nu (eps -> 0): level*nu - nu^2."""
         return tuple(Fraction(l * v - v * v) for l, v in zip(self.levels, self.rates))
 
-    @property
-    def amax(self) -> int:
-        return max(self.levels) if self.levels else 0
-
     def to_dict(self) -> dict:
         return {
             "eps": str(self.eps),

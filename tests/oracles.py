@@ -44,6 +44,16 @@ class NotFeasiblePoint(ProcflexError):
     """A claimed assignment does not satisfy the polytope constraints."""
 
 
+def margins(x: Assignment) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The row sums and the column sums of an assignment."""
+    rows = [Fraction(0)] * x.m
+    cols = [Fraction(0)] * x.n
+    for (i, j), v in x.entries.items():
+        rows[i - 1] += v
+        cols[j - 1] += v
+    return tuple(rows), tuple(cols)
+
+
 def _forest_components(m: int, n: int, edges) -> int | None:
     """Component count if `edges` is acyclic on I ∪ J, else None."""
     parent = list(range(m + n))
@@ -516,7 +526,7 @@ class _Residual:
         m, n = inst.m, inst.n
         sink = m + n + 1
         inf = inst.total + 1
-        rows, cols = x.row_sums(), x.col_sums()
+        rows, cols = margins(x)
         self.res: dict[tuple[int, int], Fraction] = {}
         for i in range(1, m + 1):
             self.res[(0, i)] = inst.demand[i - 1] - rows[i - 1]
@@ -693,9 +703,10 @@ def check_assignment(inst: ProblemInstance, x: Assignment) -> None:
     for v in x.entries.values():
         if v < 0:
             raise NotFeasiblePoint("negative entry")
-    if x.row_sums() != inst.demand:
+    rows, cols = margins(x)
+    if rows != inst.demand:
         raise NotFeasiblePoint("row sums do not match demand")
-    if x.col_sums() != inst.supply:
+    if cols != inst.supply:
         raise NotFeasiblePoint("column sums do not match supply")
 
 

@@ -14,6 +14,7 @@ from procflex import (
     crp_decomposition,
     erp_trajectory,
     make_instance,
+    ssc_basis,
 )
 
 from .conftest import random_feasible_instance, random_instance_with_zero_rates
@@ -118,7 +119,12 @@ def test_effect_agrees_with_recomputation():
             blocks = dec.erp_number
             dec = dec.with_edge(edge)
             inst = inst.with_edge(edge)
-            assert dec == crp_decomposition(inst), (inst, edge)
+            fresh = crp_decomposition(inst)
+            # equality reads the stored labels and edges; the rest is derived
+            assert dec == fresh, (inst, edge)
+            assert dec.to_dict() == fresh.to_dict()
+            assert dec.dag == fresh.dag
+            assert ssc_basis(dec).vectors == ssc_basis(fresh).vectors
             counts.append(dec.erp_number)
             merges += dec.erp_number < blocks
         assert erp_trajectory(start, seq) == counts

@@ -116,35 +116,86 @@ def test_exit_codes_for_bad_documents(files, capsys, tmp_path):
     code, _, err = run(capsys, "decompose", str(missing_field))
     assert code == 2 and json.loads(err)["error"] == "DocumentError"
 
-    for name, text in (
-        ("half_index", '{"m":2,"n":2,"demand":[1,1],"supply":[1,1],"edges":[[1.5,1],[2,2]]}'),
-        ("bool_size", '{"m":true,"n":1,"demand":[1],"supply":[1],"edges":[[1,1]]}'),
-        ("huge_exponent", '{"m":1,"n":1,"demand":["1e99999999"],"supply":["1e99999999"],'
-                          '"edges":[[1,1]]}'),
-    ):
-        path = tmp_path / f"{name}.json"
-        path.write_text(text)
-        code, out, err = run(capsys, "validate", str(path))
-        assert code == 2 and out == "" and json.loads(err)["error"] == "DocumentError"
-
-    # a string has a len() too: none of these may be read character by character
-    for name, text in (
-        ("string_rates", '{"m":2,"n":2,"demand":"11","supply":"11","edges":[[1,1],[2,2]]}'),
-        ("string_supply", '{"m":2,"n":2,"demand":[1,1],"supply":"11","edges":[[1,1],[2,2]]}'),
-        ("string_edges", '{"m":2,"n":2,"demand":[1,1],"supply":[1,1],"edges":"12"}'),
-        ("string_edge", '{"m":2,"n":2,"demand":[1,1],"supply":[1,1],"edges":["11",[2,2]]}'),
-        ("object_edge", '{"m":1,"n":1,"demand":[1],"supply":[1],"edges":[{"1":1,"2":1}]}'),
-    ):
-        path = tmp_path / f"{name}.json"
-        path.write_text(text)
-        code, out, err = run(capsys, "validate", str(path))
-        assert code == 2 and out == "" and json.loads(err)["error"] == "DocumentError", name
-
     not_json = tmp_path / "noise.json"
     not_json.write_text("demand: 3")
     assert run(capsys, "decompose", str(not_json))[0] == 2
     assert run(capsys, "decompose", str(tmp_path / "absent.json"))[0] == 2
     assert run(capsys, "frobnicate", files["two"])[0] == 2
+
+
+def _doc(demand=(1,), supply=(1,), edges=([1, 1],), **fields):
+    return {"m": len(demand), "n": len(supply), "demand": list(demand),
+            "supply": list(supply), "edges": list(edges)} | fields
+
+
+# One document per malformed class, then documents with two faults.  The
+# first fault decides, in this order: document shape, rate parse, signs,
+# edge shape and integer indices over all edges, range then duplicate per
+# edge in order, balance.
+MALFORMED = [
+    ("missing_field", {"m": 2}, "DocumentError", "instance document missing field: 'n'"),
+    ("bool_size", _doc(m=True), "DocumentError", "m and n must be positive integers"),
+    ("zero_size", _doc(demand=(), edges=(), m=0), "DocumentError",
+     "m and n must be positive integers"),
+    # a string has a len() too: none of these may be read character by character
+    ("string_rates", _doc() | {"demand": "11", "supply": "11"}, "DocumentError",
+     "demand must be a list, not str"),
+    ("string_supply", _doc() | {"supply": "11"}, "DocumentError",
+     "supply must be a list, not str"),
+    ("string_edges", _doc() | {"edges": "12"}, "DocumentError", "edges must be a list, not str"),
+    ("string_edge", _doc(edges=["11", [1, 1]]), "DocumentError",
+     "edge entries must be lists: '11'"),
+    ("object_edge", _doc(edges=[{"1": 1, "2": 1}]), "DocumentError",
+     "edge entries must be lists: {'1': 1, '2': 1}"),
+    ("short_supply", _doc(n=2), "DocumentError", "supply has 1 entries, expected n=2"),
+    ("float_rate", _doc(demand=[1.5]), "DocumentError", "not a rational: 1.5"),
+    ("huge_exponent", _doc(demand=["1e99999999"], supply=["1e99999999"]), "DocumentError",
+     "not a rational: '1e99999999' (exponent above 1000)"),
+    ("negative_rate", _doc(demand=[2, -1]), "NegativeRate", "demand 2 is negative: -1"),
+    ("negative_supply", _doc(supply=[2, "-1/2"]), "NegativeRate", "supply 2 is negative: -1/2"),
+    ("triple_edge", _doc(edges=[[1, 1, 1]]), "DocumentError", "bad edge entry: (1, 1, 1)"),
+    ("half_index", _doc(edges=[[1.5, 1], [1, 1]]), "DocumentError",
+     "edge indices must be integers: (1.5, 1)"),
+    ("bool_index", _doc(edges=[[True, 1]]), "DocumentError",
+     "edge indices must be integers: (True, 1)"),
+    ("out_of_range", _doc(edges=[[2, 1]]), "EdgeOutOfRange", "edge (2, 1) outside [1,1]x[1,1]"),
+    ("duplicate", _doc(edges=[[1, 1], [1, 1]]), "DuplicateEdge", "edge (1, 1) listed twice"),
+    ("unbalanced", _doc(demand=[2]), "UnbalancedTotals", "total demand 2 != total supply 1"),
+    ("shape_before_rate", _doc(demand=["x"], n=2), "DocumentError",
+     "supply has 1 entries, expected n=2"),
+    ("edge_list_before_rate", _doc(demand=["x"], edges=[3]), "DocumentError",
+     "edge entries must be lists: 3"),
+    ("rate_before_sign", _doc(demand=[-1], supply=["x"]), "DocumentError",
+     "not a rational: 'x'"),
+    ("sign_before_edge", _doc(demand=[-1], edges=[[1, 1, 1]]), "NegativeRate",
+     "demand 1 is negative: -1"),
+    ("edge_shape_before_range", _doc(edges=[[2, 1], [1]]), "DocumentError",
+     "bad edge entry: (1,)"),
+    ("integers_before_range", _doc(edges=[[2, 1], [1.5, 1]]), "DocumentError",
+     "edge indices must be integers: (1.5, 1)"),
+    ("duplicate_before_later_range", _doc(edges=[[1, 1], [1, 1], [3, 1]]), "DuplicateEdge",
+     "edge (1, 1) listed twice"),
+    ("range_before_later_duplicate", _doc(edges=[[3, 1], [1, 1], [1, 1]]), "EdgeOutOfRange",
+     "edge (3, 1) outside [1,1]x[1,1]"),
+    ("sign_before_balance", _doc(supply=[4, -1], demand=[2]), "NegativeRate",
+     "supply 2 is negative: -1"),
+    ("duplicate_before_balance", _doc(demand=[2], edges=[[1, 1], [1, 1]]), "DuplicateEdge",
+     "edge (1, 1) listed twice"),
+]
+
+
+@pytest.mark.parametrize("doc, error, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in MALFORMED])
+def test_malformed_documents_name_their_first_fault(doc, error, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    if error == "DocumentError":
+        assert code == 2
+        message = f"{path}: {message}"
+    else:
+        assert code == 1
+    assert out == "" and json.loads(err) == {"error": error, "message": message}
 
 
 def test_design_verb(files, capsys):

@@ -334,8 +334,7 @@ def test_greedy_extreme_point_forest_and_divisibility(seed, m, n):
     gcd = pf.gcd_combined(nu, mu)
     for v in x.entries.values():
         assert v % gcd == 0
-    assert x.row_sums() == tuple(Fraction(v) for v in nu)
-    assert x.col_sums() == tuple(Fraction(v) for v in mu)
+    assert oracles.margins(x) == (tuple(map(Fraction, nu)), tuple(map(Fraction, mu)))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

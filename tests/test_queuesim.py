@@ -185,7 +185,6 @@ def test_arrival_model_defaults_and_guards():
     assert model.levels == (2, 6, 1)
     assert model.means == (Fraction(9, 10), Fraction(27, 10), Fraction(0))
     assert model.limit_variances == (Fraction(1), Fraction(9), Fraction(0))
-    assert model.amax == 6
     # a level at or below (1-eps)*nu leaves no mass at zero
     with pytest.raises(ValueError):
         make_arrival_model(inst, "0.1", [2, 2, 1])

@@ -22,7 +22,7 @@ from .conftest import (
     random_feasible_instance,
     random_instance_with_zero_rates,
 )
-from .oracles import gap_by_definition, gap_redundancy_invariance, subset_scan
+from .oracles import gap_by_definition, gap_redundancy_invariance, margins, subset_scan
 
 F = Fraction
 
@@ -241,7 +241,7 @@ def test_drain_zeroes_one_demand_and_keeps_a_flow():
         net.drain(i)
         x = net.assignment()
         assert all(x.value(i, j) == 0 for j in range(1, inst.n + 1))
-        rows, cols = x.row_sums(), x.col_sums()
+        rows, cols = margins(x)
         assert net.flow == sum(rows) * inst.scale
         assert all(r <= d for r, d in zip(rows, inst.demand))
         assert all(c <= s for c, s in zip(cols, inst.supply))
