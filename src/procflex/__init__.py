@@ -8,6 +8,8 @@ simulation half runs a discrete-time MaxWeight queueing system and checks the
 heavy-traffic predictions the decomposition makes.
 """
 
+import importlib
+
 from .errors import (
     AlreadyCrp,
     DuplicateEdge,
@@ -48,14 +50,6 @@ from .decomposition import (
     crp_decomposition,
     ssc_basis,
 )
-from .design import (
-    BalancedCover,
-    DesignResult,
-    d_star,
-    design_flexibility,
-    max_balanced_cover,
-    min_edges,
-)
 from .augmentation import EdgeEffect, add_edge_effect, best_single_edge
 from .planning import (
     ClosedFormReport,
@@ -75,14 +69,30 @@ from .robustness import (
     check_perturbation,
     crp_gap,
 )
-from .queuesim import (
-    ArrivalModel,
-    HeavyTrafficReport,
-    HeavyTrafficRow,
-    SimStats,
-    heavy_traffic_check,
-    make_arrival_model,
-    simulate,
-)
+
+# design and queuesim load numpy, which most of a CLI start does not need:
+# their names are imported on first access (PEP 562) and then kept here.
+_LAZY = dict.fromkeys(("BalancedCover", "DesignResult", "d_star", "design_flexibility",
+                       "max_balanced_cover", "min_edges"), "design")
+_LAZY |= dict.fromkeys(("ArrivalModel", "HeavyTrafficReport", "HeavyTrafficRow", "SimStats",
+                        "heavy_traffic_check", "make_arrival_model", "simulate"), "queuesim")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
+# what `from procflex import *` binds: every public name, the lazy ones too
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, type(importlib))}
+                 | _LAZY.keys())
 
 __version__ = "0.1.0"

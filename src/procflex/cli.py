@@ -9,9 +9,13 @@ m, n, demand, supply, edges; rationals are integers or exact strings like
 seed, input, options, result} printed with sorted keys, so equal inputs
 produce byte-identical output.  Its bytes equal json.dumps(envelope,
 sort_keys=True, indent=2) plus a newline; they are produced as json's C
-encoder's compact text and then one numpy pass that adds the indent=2 layout
-(`_indented`).  `simulate` emits CSV by default (sweeps want columns, not
-trees); `--format json` switches it to the envelope.
+encoder's compact text and then one C pass that adds the indent=2 layout
+(`_indented`), or by that json.dumps call where the pass cannot be built.
+`simulate` emits CSV by default (sweeps want columns, not trees); `--format
+json` switches it to the envelope.
+
+Only `design` and `simulate` import the modules that load numpy, so the
+other verbs start without it.
 
 Exit codes: 0 success, 1 domain errors (infeasible instance, invalid target,
 failed verification, a simulation above MAX_SIM_STEPS steps), 2 malformed
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import io
 import json
@@ -32,16 +37,13 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Any, Callable
 
-import numpy as np
-
+from . import native
 from .augmentation import add_edge_effect, best_single_edge
 from .core import ProblemInstance, format_rational, is_feasible, parse_rational
 from .core import _is_int, validate_instance
 from .decomposition import crp_decomposition, ssc_basis
-from .design import design_flexibility
 from .errors import ProcflexError, SizeLimitExceeded, VerificationFailed
 from .planning import plan_schedule
-from .queuesim import heavy_traffic_check
 from .robustness import gap_and_checks
 
 SCHEMA_VERSION = 1
@@ -78,6 +80,8 @@ def _load_json(path: str):
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path} is nested too deeply") from exc
 
 
 def _instance(doc, where: str) -> ProblemInstance:
@@ -90,45 +94,96 @@ def _instance(doc, where: str) -> ProblemInstance:
 
 # json uses its C encoder only when indent is None.  So the envelope is
 # encoded compactly in C, with the ": " key separator that indent=2 uses, and
-# one numpy pass over that ASCII text adds the rest of indent=2's layout.
+# one C pass over that ASCII text adds the rest of indent=2's layout.
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
-# byte classes: quote 1, close 2, comma 3, open 4, backslash 5, other bytes 0
-_CLASSES = bytes(dict(zip(b'"]},[{\\', (1, 2, 2, 3, 4, 4, 5))).get(b, 0) for b in range(256))
-_DEPTH_STEP = np.array([0, 0, -2, 0, 2, 0], np.intp)  # change of 2 x depth
-_AFTER = np.array([0, 0, 0, 1, 1, 0], np.intp)  # 1: the layout follows the byte
+
+_LAYOUT_SOURCE = r"""
+#include <stdint.h>
+#include <string.h>
+
+/* A newline and 2 x depth spaces at out + len (when out is not NULL); returns
+   the length after them. */
+static int64_t line(char *out, int64_t len, int64_t depth)
+{
+    if (out) {
+        out[len] = '\n';
+        memset(out + len + 1, ' ', 2 * depth);
+    }
+    return len + 1 + 2 * depth;
+}
+
+/* The indent=2 layout of the compact JSON text in[0:n], plus a newline,
+   written to out when out is not NULL; returns its length.  Outside strings,
+   a line break follows each "[", "{" and "," and precedes each "]" and "}",
+   except inside an empty "[]" or "{}". */
+int64_t layout(const char *in, int64_t n, char *out)
+{
+    int64_t len = 0, depth = 0;
+    for (int64_t i = 0; i < n; i++) {
+        char c = in[i];
+        if (c == '"') {
+            /* a string, copied as it is; a backslash takes the next byte */
+            int64_t end = i + 1;
+            while (end < n && in[end] != '"')
+                end += in[end] == '\\' ? 2 : 1;
+            end = end < n ? end + 1 : n;
+            if (out)
+                memcpy(out + len, in + i, end - i);
+            len += end - i;
+            i = end - 1;
+            continue;
+        }
+        if ((c == '[' || c == '{') && i + 1 < n && (in[i + 1] == ']' || in[i + 1] == '}')) {
+            if (out) {
+                out[len] = c;
+                out[len + 1] = in[i + 1];
+            }
+            len += 2;
+            i++;
+            continue;
+        }
+        if (c == ']' || c == '}')
+            len = line(out, len, --depth);
+        if (out)
+            out[len] = c;
+        len++;
+        if (c == '[' || c == '{')
+            len = line(out, len, ++depth);
+        else if (c == ',')
+            len = line(out, len, depth);
+    }
+    if (out)
+        out[len] = '\n';
+    return len + 1;
+}
+"""
+
+
+@functools.cache
+def _layout():
+    """The compiled layout pass, or None where it cannot be built or loaded
+    (see `native.load`), in which case json's Python encoder lays out."""
+    lib = native.load("layout", _LAYOUT_SOURCE)
+    if lib is None:
+        return None
+    fn = lib.layout
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p]
+    fn.restype = ctypes.c_int64
+    return fn
 
 
 def _indented(doc) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2) + "\n", built from compact text.
-
-    Outside strings, a newline and 2 x depth spaces go after each "[", "{"
-    and "," and before each "]" and "}", except inside an empty "[]" or "{}".
-    """
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n": the compact text
+    laid out by the C pass, or that json.dumps call where the pass is missing."""
+    layout = _layout()
+    if layout is None:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     data = _COMPACT(doc).encode("ascii")
-    # the escapes \\ and \" become inert byte pairs, read left to right as a
-    # decoder does, so every quote left delimits a string
-    cls = data.translate(_CLASSES).replace(b"\5\5", b"\0\0").replace(b"\5\1", b"\0\0")
-    cls = np.frombuffer(cls.replace(b"\4\2", b"\0\0"), np.int8)
-    at = cls.nonzero()[0]
-    kind = cls.take(at)
-    quote = kind == 1
-    outside = ~(quote | np.logical_xor.accumulate(quote))
-    at, kind = at[outside], kind[outside]
-    size = _DEPTH_STEP.take(kind).cumsum()
-    size += 1  # "\n" and 2 x depth spaces
-    where = at + _AFTER.take(kind)  # never 0: the text starts with a value
-    # pos[i] = output position of input byte i = i + layout inserted before it
-    step = np.empty(len(data), np.intp)
-    step.fill(1)
-    step[0] = 0
-    step[where] = size + 1
-    pos = step.cumsum()
-    out = np.empty(pos[-1] + 2, np.uint8)
-    out.fill(32)
-    out[pos] = np.frombuffer(data, np.uint8)
-    out[pos.take(where) - size] = 10
-    out[-1] = 10
-    return out.tobytes().decode("ascii")
+    out = bytearray(layout(data, len(data), None))
+    # a c_char at the start of out, not an array type per length: ctypes
+    # keeps every array type it makes
+    layout(data, len(data), ctypes.byref(ctypes.c_char.from_buffer(out)))
+    return out.decode("ascii")
 
 
 def _envelope(command: str, seed: int, input_doc, options: dict, result) -> str:
@@ -221,6 +276,8 @@ def _decompose(inst: ProblemInstance, options: dict, seed: int) -> dict:
 
 
 def _design(inst: ProblemInstance, options: dict, seed: int) -> dict:
+    from .design import design_flexibility  # imported here: it loads numpy
+
     res = design_flexibility(inst.demand, inst.supply, options["erp"])
     entries = res.assignment.entries
     return {
@@ -255,6 +312,8 @@ def _plan(inst: None, options: dict, seed: int) -> dict:
 
 
 def _simulate(inst: ProblemInstance, options: dict, seed: int) -> dict:
+    from .queuesim import heavy_traffic_check  # imported here: it loads numpy
+
     report = heavy_traffic_check(
         inst, options["eps"], horizon=options["horizon"], warmup=options["warmup"],
         seed=seed, replications=options["reps"], arrival_levels=options["levels"],

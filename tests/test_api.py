@@ -25,3 +25,15 @@ def test_every_public_name_is_exported_by_the_package():
                 module.__name__,
                 name,
             )
+
+
+def test_names_imported_on_first_access_are_listed_and_resolve():
+    # the package imports design and queuesim only when one of their names is read
+    for name, module in procflex._LAZY.items():
+        assert name in dir(procflex)
+        owner = importlib.import_module(f"procflex.{module}")
+        assert getattr(procflex, name) is getattr(owner, name)
+    assert not hasattr(procflex, "no_such_name")
+    namespace = {}
+    exec("from procflex import *", namespace)
+    assert set(procflex._LAZY) <= set(namespace) and "simulate" in procflex.__all__

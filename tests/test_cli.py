@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procflex import cli, validate_instance
+from procflex import cli, native, validate_instance
 from procflex.cli import main
 from procflex.design import MAX_COVER_SIZE
 from procflex.planning import MAX_PLAN_TABLE_BITS
@@ -121,6 +121,28 @@ def test_exit_codes_for_bad_documents(files, capsys, tmp_path):
     assert run(capsys, "decompose", str(not_json))[0] == 2
     assert run(capsys, "decompose", str(tmp_path / "absent.json"))[0] == 2
     assert run(capsys, "frobnicate", files["two"])[0] == 2
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("reader", ["instance", "stdin", "perturb", "tables", "verify"])
+def test_deeply_nested_documents_exit_2(reader, files, capsys, monkeypatch, tmp_path):
+    # json.load raises RecursionError on them; the CLI reports one JSON line
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP))
+    argv = {
+        "instance": ["validate", str(deep)],
+        "stdin": ["validate", "-"],
+        "perturb": ["gap", files["two"], "--perturb", str(deep)],
+        "tables": ["plan", "--eta", "2", "--budget", "1", "--objective", f"file:{deep}"],
+        "verify": ["verify", str(deep)],
+    }[reader]
+    code, out, err = run(capsys, *argv)
+    where = "-" if reader == "stdin" else str(deep)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "DocumentError", "message": f"{where} is nested too deeply"}
 
 
 def _doc(demand=(1,), supply=(1,), edges=([1, 1],), **fields):
@@ -575,6 +597,62 @@ def test_envelope_bytes_equal_the_indent_2_encoder(value):
     assert cli._indented(value) == envelope_text(value)
 
 
+def test_every_verb_writes_the_same_envelope_without_the_c_layout(tmp_path, monkeypatch):
+    paths = write_inputs(str(tmp_path))
+    argvs = [argv for group in verb_examples(paths).values() for argv in group]
+    compiled = [call(argv) for argv in argvs]
+    with monkeypatch.context() as patch:
+        # as where no C library can be built: json's indent=2 encoder writes
+        patch.setattr(native, "load", lambda name, source: None)
+        cli._layout.cache_clear()
+        try:
+            assert cli._layout() is None
+            fallback = [call(argv) for argv in argvs]
+        finally:
+            cli._layout.cache_clear()
+    assert fallback == compiled
+    for argv, (code, out, _) in zip(argvs, fallback):
+        assert code == 0, argv
+        if out.startswith("{"):
+            assert out == envelope_text(json.loads(out)), argv
+
+
+def big_envelope() -> dict:
+    """An envelope of several MB, shaped like a large decompose result."""
+    m = 15_000
+    rows = [[i, j, "1/3"] for i in range(1, m + 1) for j in (i, i % m + 1)]
+    return {"schema_version": 1, "command": "decompose", "seed": 0, "options": {},
+            "input": {"m": m, "n": m, "demand": ["2/3"] * m, "supply": ["2/3"] * m,
+                      "edges": [row[:2] for row in rows]},
+            "result": {"components": [{"demands": [i], "supplies": [], "edges": []}
+                                      for i in range(1, m + 1)], "assignment": rows}}
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param([[], {}, [[]], {"a": {}}, [{}, []], {"": [[], [{}]], "b": [[[]]]}],
+                 id="nested_empty_containers"),
+    pytest.param(["\\", "\\\"", "a\\\"],{", {"\\": "\"", "x\\": ["\\\\"]}],
+                 id="backslash_before_quote"),
+    pytest.param({"\u2028": ["\x00", "\ud800", "\u00e9[", "\U0001f600", "\x1f}"]},
+                 id="unicode_escapes"),
+    *(pytest.param(v, id=f"scalar_{v!r}")
+      for v in (None, True, 0, -1.5, "", "[x]", float("nan"), 2**200)),
+])
+def test_the_c_layout_on_fixed_documents(value):
+    if cli._layout() is None:
+        pytest.skip("no C layout library on this host")
+    assert cli._indented(value) == envelope_text(value)
+
+
+def test_the_c_layout_on_a_several_mb_envelope():
+    if cli._layout() is None:
+        pytest.skip("no C layout library on this host")
+    doc = big_envelope()
+    text = cli._indented(doc)
+    assert len(text) > 4_000_000
+    assert text == envelope_text(doc)
+
+
 def test_cli_import_leaves_subprocess_and_hashlib_unloaded():
     # queuesim imports them only to build its kernel; the cold start avoids them
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -584,6 +662,49 @@ def test_cli_import_leaves_subprocess_and_hashlib_unloaded():
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def fresh_interpreter(code: str, *args: str) -> str:
+    """stderr of a new Python process running code with the package on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stderr
+
+
+def test_numpy_is_loaded_only_by_design_and_simulate(tmp_path):
+    paths = write_inputs(str(tmp_path))
+    verbs = [
+        ["validate", paths["blocks"]],
+        ["decompose", paths["blocks"]],
+        ["augment", "--best", paths["blocks"]],
+        ["gap", paths["blocks"], "--perturb", paths["pert"]],
+        ["plan", "--eta", "4", "--budget", "3"],
+        ["verify", paths["envelope"]],
+    ]
+    code = (
+        "import json, sys, procflex, procflex.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert procflex.cli.main(argv) == 0, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded, file=sys.stderr)"
+    )
+    assert fresh_interpreter(code, json.dumps(verbs)) == f"{[False] * 7}\n"
+    # design and simulate load it on demand, as do their names in the package
+    verbs = [["design", "--erp", "1", paths["two"]],
+             ["simulate", paths["two"], "--eps", "0.1", "--horizon", "300", "--format", "json"]]
+    code = (
+        "import json, sys, procflex.cli\n"
+        "from procflex import simulate, design_flexibility\n"
+        "from procflex import design, queuesim\n"
+        "print(simulate is queuesim.simulate, design_flexibility is design.design_flexibility,"
+        " file=sys.stderr)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert procflex.cli.main(argv) == 0, argv\n"
+    )
+    assert fresh_interpreter(code, json.dumps(verbs)) == "True True\n"
 
 
 def test_validate_on_a_cached_library_leaves_subprocess_unloaded(tmp_path):
