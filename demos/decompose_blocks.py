@@ -36,8 +36,7 @@ print("ones, so the block graph is acyclic:")
 for (a, b), k in sorted(dag.edges.items()):
     print(f"  block {a} -> block {b}  (x{k})")
 
-basis = ssc_basis(decomp)
 print("\nin heavy traffic the queue vector collapses onto the span of the")
 print("block indicator vectors:")
-for vec in basis.vectors:
+for vec in ssc_basis(decomp):
     print(f"  {vec}")

@@ -35,7 +35,6 @@ from .core import (
     ProblemInstance,
     find_feasible_point,
     format_rational,
-    gcd_combined,
     greedy_extreme_point,
     is_feasible,
     make_instance,
@@ -46,7 +45,6 @@ from .decomposition import (
     CrpComponent,
     CrpDag,
     CrpDecomposition,
-    SscBasis,
     crp_decomposition,
     ssc_basis,
 )

@@ -94,8 +94,11 @@ def _instance(doc, where: str) -> ProblemInstance:
 
 # json uses its C encoder only when indent is None.  So the envelope is
 # encoded compactly in C, with the ": " key separator that indent=2 uses, and
-# one C pass over that ASCII text adds the rest of indent=2's layout.
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
+# one C pass over that ASCII text adds the rest of indent=2's layout.  Parsed
+# Fractions (objective tables read from a file) are written as their
+# canonical strings.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "),
+                            default=format_rational).encode
 
 _LAYOUT_SOURCE = r"""
 #include <stdint.h>
@@ -177,7 +180,7 @@ def _indented(doc) -> str:
     laid out by the C pass, or that json.dumps call where the pass is missing."""
     layout = _layout()
     if layout is None:
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, default=format_rational) + "\n"
     data = _COMPACT(doc).encode("ascii")
     out = bytearray(layout(data, len(data), None))
     # a c_char at the start of out, not an array type per length: ctypes
@@ -206,7 +209,8 @@ def _or_none(ok):
 
 
 _INT = (_is_int, "an integer")
-_RATIONAL_ROWS = _list_of(_list_of(lambda v: isinstance(v, str)))
+# canonical strings, or the Fractions an objective tables file was parsed to
+_RATIONAL_ROWS = _list_of(_list_of(lambda v: isinstance(v, (str, Fraction))))
 
 
 def _fields(**spec):
@@ -271,7 +275,7 @@ def _decompose(inst: ProblemInstance, options: dict, seed: int) -> dict:
         entry["demand_total"] = format_rational(Fraction(demand, inst.scale))
         entry["supply_total"] = format_rational(Fraction(supply, inst.scale))
     out["crp_graph"] = decomp.dag.to_dict()
-    out["ssc_basis"] = [list(v) for v in ssc_basis(decomp).vectors]
+    out["ssc_basis"] = [list(v) for v in ssc_basis(decomp)]
     return out
 
 
@@ -306,8 +310,6 @@ def _augment(inst: ProblemInstance, options: dict, seed: int) -> dict:
 def _plan(inst: None, options: dict, seed: int) -> dict:
     objective = options["objective"]
     spec = objective["tables"] if isinstance(objective, dict) else objective
-    if isinstance(spec, _ParsedTables):  # read from a file, not a stored envelope
-        spec = spec.values
     return plan_schedule(options["eta"], options["budget"], spec).to_dict()
 
 
@@ -428,17 +430,13 @@ def _perturb_file(path: str) -> list:
         raise DocumentError(f"{path}: expected an object with 'omega' or 'omegas'")
     if not isinstance(omegas, list) or not all(isinstance(o, list) for o in omegas):
         raise DocumentError(f"{path}: omegas must be lists of rationals")
+    try:
+        for o in omegas:
+            for w in o:
+                parse_rational(w)  # an int or an exact string, never a JSON float
+    except (ValueError, TypeError) as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
     return [[str(w) for w in o] for o in omegas]
-
-
-class _ParsedTables(list):
-    """Objective tables as the options record shows them, rows of canonical
-    rational strings, keeping the Fractions they were formatted from: the plan
-    reads those, so each entry of a tables file is parsed once."""
-
-    def __init__(self, values: list[list[Fraction]]):
-        super().__init__([format_rational(v) for v in row] for row in values)
-        self.values = values
 
 
 def _tables_file(path: str) -> dict:
@@ -449,7 +447,7 @@ def _tables_file(path: str) -> dict:
         values = [[parse_rational(v) for v in row] for row in doc]
     except (ValueError, TypeError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
-    return {"tables": _ParsedTables(values)}
+    return {"tables": values}
 
 
 def _objective_arg(text: str):

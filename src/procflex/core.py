@@ -45,7 +45,6 @@ __all__ = [
     "is_feasible",
     "find_feasible_point",
     "greedy_extreme_point",
-    "gcd_combined",
 ]
 
 
@@ -141,14 +140,6 @@ class ProblemInstance:
             adj[j - 1].append(i)
         return tuple(tuple(a) for a in adj)
 
-    def restricted(self, edges: Iterable[tuple[int, int]]) -> "ProblemInstance":
-        """Same rates, edge set replaced by a subset of the current one."""
-        sub = frozenset(edges)
-        unknown = sub - self.edges
-        if unknown:
-            raise EdgeOutOfRange(f"edges not in instance: {sorted(unknown)}")
-        return ProblemInstance(self.m, self.n, self.demand, self.supply, sub)
-
     def with_edge(self, edge: tuple[int, int]) -> "ProblemInstance":
         i, j = _edge_pair(edge)
         if not (1 <= i <= self.m and 1 <= j <= self.n):
@@ -213,21 +204,16 @@ def validate_instance(raw: Mapping) -> ProblemInstance:
     for e in edges_raw:
         if not isinstance(e, list):
             raise ValueError(f"edge entries must be lists: {e!r}")
-    return make_instance(demand_raw, supply_raw, edges_raw, m=m, n=n)
+    return make_instance(demand_raw, supply_raw, edges_raw)
 
 
 def make_instance(
-    demand: Sequence,
-    supply: Sequence,
-    edges: Iterable[tuple[int, int]],
-    m: int | None = None,
-    n: int | None = None,
+    demand: Sequence, supply: Sequence, edges: Iterable[tuple[int, int]]
 ) -> ProblemInstance:
     """Validate and build an instance from in-memory values."""
     demand_f = tuple(parse_rational(v) for v in demand)
     supply_f = tuple(parse_rational(v) for v in supply)
-    m = len(demand_f) if m is None else m
-    n = len(supply_f) if n is None else n
+    m, n = len(demand_f), len(supply_f)
     for side, rates in (("demand", demand_f), ("supply", supply_f)):
         for k, v in enumerate(rates, start=1):
             if v.numerator < 0:
@@ -265,19 +251,8 @@ class Assignment:
             {e: Fraction(v) for e, v in self.entries.items() if v != 0},
         )
 
-    def value(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
-
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.entries)
-
-
-def gcd_combined(demand: Sequence, supply: Sequence) -> Fraction:
-    """Largest rational c such that every rate is an integer multiple of c."""
-    values = [parse_rational(v) for v in demand] + [parse_rational(v) for v in supply]
-    _check_positive(values)
-    scale, units = _units(values)
-    return Fraction(math.gcd(*units), scale)
 
 
 def _check_positive(values: Sequence[Fraction]) -> None:

@@ -32,7 +32,6 @@ __all__ = [
     "CrpComponent",
     "CrpDecomposition",
     "CrpDag",
-    "SscBasis",
     "crp_decomposition",
     "ssc_basis",
 ]
@@ -238,17 +237,10 @@ class CrpDag:
         }
 
 
-@dataclass(frozen=True)
-class SscBasis:
+def ssc_basis(decomp: CrpDecomposition) -> tuple[tuple[int, ...], ...]:
     """Indicator vectors of the demand blocks; orthogonal basis of the
     collapse subspace."""
-
-    vectors: tuple[tuple[int, ...], ...]
-
-
-def ssc_basis(decomp: CrpDecomposition) -> SscBasis:
-    vectors = (
+    return tuple(
         tuple(int(l == label) for l in decomp.demand_labels)
         for label in range(1, decomp.erp_number + 1)
     )
-    return SscBasis(tuple(vectors))

@@ -189,15 +189,21 @@ def max_balanced_cover(demand, supply) -> BalancedCover:
     return BalancedCover(tuple(parts))
 
 
-def min_edges(demand, supply, d: int) -> int:
-    """Fewest edges of any graph whose polytope has exactly d blocks."""
+def _target(demand, supply, d: int):
+    """(nu, mu, cover, d*) for a block-count target d, once d is checked to
+    be a positive integer no larger than d** (the cover's cardinality)."""
     nu, mu, _ = _rates(demand, supply)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"target block count must be a positive integer, got {d!r}")
-    dss = max_balanced_cover(nu, mu).cardinality
-    if d > dss:
-        raise TargetAboveDstarStar(f"target {d} exceeds achievable maximum {dss}")
-    ds = d_star(nu, mu)
+    cover = max_balanced_cover(nu, mu)
+    if d > cover.cardinality:
+        raise TargetAboveDstarStar(f"target {d} exceeds achievable maximum {cover.cardinality}")
+    return nu, mu, cover, d_star(nu, mu)
+
+
+def min_edges(demand, supply, d: int) -> int:
+    """Fewest edges of any graph whose polytope has exactly d blocks."""
+    nu, mu, _, ds = _target(demand, supply, d)
     return len(nu) + len(mu) - d + (1 if d < ds else 0)
 
 
@@ -240,15 +246,9 @@ def design_flexibility(demand, supply, d: int) -> DesignResult:
     needed when d < d_star, links the remaining surplus components in one
     cycle by splitting half the minimum representative flow around it.
     """
-    nu, mu, _ = _rates(demand, supply)
+    nu, mu, cover, ds = _target(demand, supply, d)
     m, n = len(nu), len(mu)
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"target block count must be a positive integer, got {d!r}")
-    cover = max_balanced_cover(nu, mu)
     dss = cover.cardinality
-    if d > dss:
-        raise TargetAboveDstarStar(f"target {d} exceeds achievable maximum {dss}")
-    ds = d_star(nu, mu)
 
     # components of the support, each a sorted edge list, ordered by smallest edge
     entries: dict[tuple[int, int], Fraction] = {}

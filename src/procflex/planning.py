@@ -445,20 +445,6 @@ class GreedyOptimalReport:
     optimal_mode: str
     note: str
 
-    def rows(self) -> list[dict]:
-        out = []
-        for idx in range(self.horizon):
-            row = {
-                "step": idx + 1,
-                "greedy_edge": self.greedy_edges[idx] if idx < len(self.greedy_edges) else None,
-                "greedy_erp": self.greedy_trajectory[idx] if idx < len(self.greedy_trajectory) else None,
-            }
-            if self.optimal_edges is not None:
-                row["optimal_edge"] = self.optimal_edges[idx]
-                row["optimal_erp"] = self.optimal_trajectory[idx]
-            out.append(row)
-        return out
-
     def to_dict(self) -> dict:
         return {
             "horizon": self.horizon,

@@ -104,10 +104,6 @@ class ArrivalModel:
     probs: tuple[Fraction, ...]
 
     @property
-    def means(self) -> tuple[Fraction, ...]:
-        return tuple(l * p for l, p in zip(self.levels, self.probs))
-
-    @property
     def limit_variances(self) -> tuple[Fraction, ...]:
         """Variance with the mean pushed to nu (eps -> 0): level*nu - nu^2."""
         return tuple(Fraction(l * v - v * v) for l, v in zip(self.levels, self.rates))
@@ -641,10 +637,6 @@ class HeavyTrafficReport:
     rows: tuple[HeavyTrafficRow, ...]
     rhs: Fraction
     components: tuple[tuple[int, ...], ...]
-
-    @property
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(r.ratio for r in self.rows)
 
     def to_dict(self) -> dict:
         return {

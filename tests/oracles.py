@@ -532,8 +532,8 @@ class _Residual:
             self.res[(0, i)] = inst.demand[i - 1] - rows[i - 1]
             self.res[(i, 0)] = rows[i - 1]
         for i, j in inst.sorted_edges:
-            self.res[(i, m + j)] = inf - x.value(i, j)
-            self.res[(m + j, i)] = x.value(i, j)
+            self.res[(i, m + j)] = inf - x.entries.get((i, j), 0)
+            self.res[(m + j, i)] = x.entries.get((i, j), 0)
         for j in range(1, n + 1):
             self.res[(m + j, sink)] = inst.supply[j - 1] - cols[j - 1]
             self.res[(sink, m + j)] = cols[j - 1]
@@ -560,7 +560,7 @@ class _Residual:
         half keeps every previously positive entry positive, which the
         full-support construction relies on.
         """
-        if self.x.value(i, j) > 0:
+        if self.x.entries.get((i, j), 0) > 0:
             return self.x
         m = self.inst.m
         parent = self.residual_parents(m + j)
@@ -599,7 +599,7 @@ def redundancy_oracle(inst: ProblemInstance, edge) -> bool:
     the package's strongly-connected-component pass.
     """
     net, (i, j) = _residual(inst, edge)
-    if net.x.value(i, j) > 0:
+    if net.x.entries.get((i, j), 0) > 0:
         return False
     return i not in net.residual_parents(inst.m + j)
 
@@ -689,7 +689,7 @@ def gap_redundancy_invariance(inst: ProblemInstance) -> bool:
     if base.crp_gap is None:
         raise GapUndefined("no demand subset qualifies; the gap is undefined")
     kept = frozenset(inst.edges) - crp_decomposition(inst).redundant_edges
-    stripped = crp_gap(inst.restricted(kept))
+    stripped = crp_gap(make_instance(inst.demand, inst.supply, kept))
     return base.crp_gap == stripped.crp_gap
 
 

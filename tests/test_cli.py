@@ -269,6 +269,23 @@ def test_gap_verb_and_perturbations(files, capsys, tmp_path):
     assert code == 1 and json.loads(err)["error"] == "GapUndefined"
 
 
+def test_gap_perturb_entries_are_ints_or_exact_strings(files, capsys, tmp_path):
+    pert = tmp_path / "pert.json"
+    for omega in ([0.5, -0.5], [[1], 0], [True, 0], ["abc", 0]):
+        pert.write_text(json.dumps({"omegas": [omega]}))
+        code, out, err = run(capsys, "gap", files["two"], "--perturb", str(pert))
+        assert code == 2 and out == "", omega
+        assert json.loads(err)["error"] == "DocumentError"
+    # accepted entries are recorded as the file spells them
+    pert.write_text(json.dumps({"omegas": [["2/4", 0, "-1/2", " 0 ", 0]]}))
+    code, out, _ = run(capsys, "gap", files["blocks"], "--perturb", str(pert))
+    assert code == 0
+    assert envelope(out)["options"]["perturb"] == [["2/4", "0", "-1/2", " 0 ", "0"]]
+    replay = tmp_path / "gap.json"
+    replay.write_text(out)
+    assert run(capsys, "verify", str(replay))[0] == 0
+
+
 def test_augment_verbs(files, capsys):
     code, out, _ = run(capsys, "augment", "--best", files["blocks"])
     assert code == 0
@@ -315,6 +332,13 @@ def test_plan_verb(files, capsys, tmp_path):
     doc = envelope(out)
     assert doc["options"]["objective"] == {"tables": [["0", "0"], ["0", "0"], ["1", "2"]]}
     assert doc["result"]["value"] == "1"
+    # the options record each entry in canonical form, however the file spelled it
+    tables.write_text(json.dumps([["0", "2/4"], ["0.5", " 3 "], ["1e1", 10]]))
+    code, out, _ = run(capsys, "plan", "--eta", "2", "--budget", "3",
+                       "--objective", f"file:{tables}")
+    assert code == 0
+    assert envelope(out)["options"]["objective"] == {
+        "tables": [["0", "1/2"], ["1/2", "3"], ["10", "10"]]}
 
     bad = tmp_path / "bad_tables.json"
     for doc in ({"rows": []}, ["012", "013"], [[0, 1, 2], "013"]):
@@ -535,7 +559,8 @@ def write_inputs(directory) -> dict:
         "two": TWO,
         "zero": ZERO_RATE,
         "pert": {"omegas": [["1/2", 0, "-1/2", 0, 0]]},
-        "tables": [[0, 0], [0, 0], ["1", "2"]],
+        # entries that are not in canonical form: the options record "1/2", "3", "10"
+        "tables": [[0, "2/4"], ["0.5", " 3 "], ["1", "1e1"]],
     }
     for name, doc in docs.items():
         paths[name] = os.path.join(directory, f"{name}.json")

@@ -229,17 +229,6 @@ def test_make_instance_refuses_an_empty_side():
             pf.make_instance(demand, supply, [])
 
 
-def test_gcd_combined_values():
-    assert pf.gcd_combined([2, 2], [2, 2]) == 2
-    assert pf.gcd_combined([2, 1], [2, 1]) == 1
-    assert pf.gcd_combined([Fraction(3, 2), Fraction(1, 2)], [1, 1]) == Fraction(1, 2)
-
-
-def test_gcd_combined_zero_rejected():
-    with pytest.raises(pf.ZeroVector):
-        pf.gcd_combined([0, 1], [1])
-
-
 def _rational_gcd(values):
     """Euclid's algorithm on the Fractions themselves."""
     g = Fraction(0)
@@ -269,14 +258,12 @@ def test_rate_units_are_the_rates_over_one_scale():
         mixed += len({v.denominator for v in rates}) > 2
         if all(v > 0 for v in rates):
             g = _rational_gcd(rates)
-            assert pf.gcd_combined(inst.demand, inst.supply) == g
             assert pf.d_star(inst.demand, inst.supply) == max(1, len(rates) - inst.total / g)
         else:
             zeros += 1
             first = next(v for v in rates if v <= 0)
-            for fn in (pf.gcd_combined, pf.d_star):
-                with pytest.raises(pf.ZeroVector, match=f"^rates must be strictly positive, got {first}$"):
-                    fn(inst.demand, inst.supply)
+            with pytest.raises(pf.ZeroVector, match=f"^rates must be strictly positive, got {first}$"):
+                pf.d_star(inst.demand, inst.supply)
     assert mixed >= 10 and zeros >= 30
 
 
@@ -331,7 +318,7 @@ def test_greedy_extreme_point_forest_and_divisibility(seed, m, n):
     x = pf.greedy_extreme_point(nu, mu)
     assert _forest_components(m, n, x.support()) is not None
     assert len(x.support()) <= m + n - 1
-    gcd = pf.gcd_combined(nu, mu)
+    gcd = _rational_gcd(map(Fraction, nu + mu))
     for v in x.entries.values():
         assert v % gcd == 0
     assert oracles.margins(x) == (tuple(map(Fraction, nu)), tuple(map(Fraction, mu)))
@@ -397,7 +384,8 @@ def test_flow_loops_leave_identical_residuals(monkeypatch):
               for _ in range(10)]
     insts += [random_instance_with_zero_rates(rng, 6, 6, 4) for _ in range(10)]
     # graphs that cannot route every demand
-    insts += [inst.restricted(e for e in inst.sorted_edges if rng.random() < 0.7)
+    insts += [pf.make_instance(inst.demand, inst.supply,
+                               [e for e in inst.sorted_edges if rng.random() < 0.7])
               for inst in insts[-20:]]
     assert not all(pf.is_feasible(inst) for inst in insts)
     cases = [

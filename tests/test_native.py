@@ -48,4 +48,7 @@ def test_the_compile_command_keeps_multiply_and_add_apart(monkeypatch, tmp_path)
     monkeypatch.setattr(subprocess, "run", recording_run)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     native.load("probe", SOURCES["one"])
-    assert len(commands) == 1 and "-ffp-contract=off" in commands[0]
+    # without cc, load tries the cache directory and then a temp directory
+    assert commands and all("-ffp-contract=off" in command for command in commands)
+    if shutil.which("cc") is not None:
+        assert len(commands) == 1

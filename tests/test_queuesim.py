@@ -183,7 +183,8 @@ def test_arrival_model_defaults_and_guards():
     inst = make_instance([1, 3, 0], [2, 2, 0], [(1, 1), (2, 1), (2, 2), (3, 3)])
     model = make_arrival_model(inst, "0.1", None)
     assert model.levels == (2, 6, 1)
-    assert model.means == (Fraction(9, 10), Fraction(27, 10), Fraction(0))
+    assert tuple(l * p for l, p in zip(model.levels, model.probs)) == (
+        Fraction(9, 10), Fraction(27, 10), Fraction(0))
     assert model.limit_variances == (Fraction(1), Fraction(9), Fraction(0))
     # a level at or below (1-eps)*nu leaves no mass at zero
     with pytest.raises(ValueError):
@@ -518,7 +519,7 @@ def test_single_queue_heavy_traffic_identity():
     assert report.rhs == 1
     for row in report.rows:
         assert row.lhs == pytest.approx(1 - float(row.eps), abs=0.05)
-    ratios = report.ratios
+    ratios = [row.ratio for row in report.rows]
     assert list(ratios) == sorted(ratios)  # climbing toward 1 as eps falls
     assert ratios[-1] == pytest.approx(0.95, abs=0.05)
 

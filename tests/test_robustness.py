@@ -240,7 +240,7 @@ def test_drain_zeroes_one_demand_and_keeps_a_flow():
         i = rng.randint(1, inst.m)
         net.drain(i)
         x = net.assignment()
-        assert all(x.value(i, j) == 0 for j in range(1, inst.n + 1))
+        assert all(x.entries.get((i, j), 0) == 0 for j in range(1, inst.n + 1))
         rows, cols = margins(x)
         assert net.flow == sum(rows) * inst.scale
         assert all(r <= d for r, d in zip(rows, inst.demand))
