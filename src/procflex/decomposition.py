@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import ProblemInstance, _edge_pair, _feasible_network
+from .core import ProblemInstance, _Transport, _edge_pair, _feasible_network
 from .errors import EdgeAlreadyPresent, IndexOutOfRange
 
 __all__ = [
@@ -178,14 +178,19 @@ def crp_decomposition(
     interleaved (demand i sits at position 2i-1, supply j at 2j), so the
     numbering is stable and matches the usual drawing order.
     """
-    m, n = inst.m, inst.n
-    comp = _feasible_network(inst, order_seed=order_seed).scc_labels()
+    return _labelled(_feasible_network(inst, order_seed=order_seed))
+
+
+def _labelled(net: _Transport) -> CrpDecomposition:
+    """The decomposition read off net's saturating max flow; net is unchanged."""
+    m, n = net.inst.m, net.inst.n
+    comp = net.scc_labels()
     label_of_scc: dict[int, int] = {}
     labels = [0] * (m + n)
     position = [2 * i - 1 for i in range(1, m + 1)] + [2 * j for j in range(1, n + 1)]
     for v in sorted(range(m + n), key=position.__getitem__):
         labels[v] = label_of_scc.setdefault(comp[v], len(label_of_scc) + 1)
-    return CrpDecomposition(m, n, inst.edges, tuple(labels[:m]), tuple(labels[m:]))
+    return CrpDecomposition(m, n, net.inst.edges, tuple(labels[:m]), tuple(labels[m:]))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,7 @@ class Schedule:
                 )
         reps = [(min(c.demands), min(c.supplies)) for c in dec.components]
         edges: list[tuple[int, int]] = []
+        counts: list[int] = []
         for move in self.moves:
             if move[0] == "filler":
                 edge = self._neutral_edge(dec)
@@ -191,6 +192,11 @@ class Schedule:
                 edge = (reps[a - 1][0], reps[b - 1][1])
             edges.append(edge)
             dec = dec.with_edge(edge)
+            counts.append(dec.erp_number)
+        if tuple(counts) != self.trajectory():
+            raise InvariantViolation(
+                f"realized trajectory {tuple(counts)} differs from plan {self.trajectory()}"
+            )
         return edges
 
     @staticmethod
@@ -475,21 +481,6 @@ def _absent_edges(graph: ProblemInstance | CrpDecomposition) -> list[tuple[int, 
     ]
 
 
-def _greedy_edges(dec: CrpDecomposition, K: int) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for _ in range(K):
-        try:
-            edge, _eff = _best_edge(dec)
-        except AlreadyCrp:
-            absent = _absent_edges(dec)
-            if not absent:
-                break
-            edge = absent[0]
-        out.append(edge)
-        dec = dec.with_edge(edge)
-    return out
-
-
 _EXHAUSTIVE_LIMIT = 20_000
 
 
@@ -511,8 +502,20 @@ def greedy_vs_optimal_report(
     eta = dec.erp_number
     obj = make_objective(objective, eta, K)
 
-    greedy_edges = tuple(_greedy_edges(dec, K))
-    greedy_traj = tuple(_trajectory(dec, greedy_edges))
+    greedy_edges: list[tuple[int, int]] = []
+    greedy_traj: list[int] = []
+    cur = dec
+    for _ in range(K):
+        try:
+            edge, _eff = _best_edge(cur)
+        except AlreadyCrp:
+            absent = _absent_edges(cur)
+            if not absent:
+                break
+            edge = absent[0]
+        greedy_edges.append(edge)
+        cur = cur.with_edge(edge)
+        greedy_traj.append(cur.erp_number)
     greedy_value = obj.total(greedy_traj)
     note = ""
     if len(greedy_edges) < K:
@@ -530,12 +533,7 @@ def greedy_vs_optimal_report(
         mode = "structured"
         report = plan_schedule(eta, K, obj)
         opt_edges = tuple(report.schedule._realize(dec))
-        opt_traj = tuple(_trajectory(dec, opt_edges))
-        if opt_traj != report.trajectory:
-            raise InvariantViolation(
-                f"realized trajectory {opt_traj} differs from plan {report.trajectory}"
-            )
-        opt_value = report.value
+        opt_traj, opt_value = report.trajectory, report.value
     elif math.perm(len(absent), K) <= _EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         for seq in permutations(absent, K):
@@ -557,8 +555,8 @@ def greedy_vs_optimal_report(
     return GreedyOptimalReport(
         horizon=K,
         objective_kind=obj.kind,
-        greedy_edges=greedy_edges,
-        greedy_trajectory=greedy_traj,
+        greedy_edges=tuple(greedy_edges),
+        greedy_trajectory=tuple(greedy_traj),
         greedy_value=greedy_value,
         optimal_edges=tuple(opt_edges) if opt_edges is not None else None,
         optimal_trajectory=opt_traj,

@@ -198,7 +198,8 @@ class SimStats:
 
 
 def _stream(seed: int, rep: int, kind: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, (rep << 24) | (kind << 20) | index]))
+    key = np.array([seed, (rep << 24) | (kind << 20) | index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class _RepAccum:
@@ -429,6 +430,8 @@ class _Campaign:
             raise ValueError("replications must be a positive integer")
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if seed >= 1 << 64:
+            raise ValueError("seed must be below 2^64")
         # a queue holds at most horizon * level_i and one slot serves at most
         # sum(mu), which bounds every value of the step loops
         top = horizon * max(sum(md.levels) for md in models) + sum(mu)

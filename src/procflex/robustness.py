@@ -15,9 +15,9 @@ the demands that cannot reach the sink in its residual graph form the
 largest minimizer.  A set qualifies for the gap exactly when it splits the
 demands of a block, so a block with lowest demand s and other demands
 t1 < ... < tk needs two chains of k cuts: step c forces {s, t1..t(c-1)} in
-and tc out, or tc in and {s, t1..t(c-1)} out.  Every cut runs on one network
-and starts from the previous cut's flow.  The minimizers of one step form a
-lattice (Fujishige, Submodular Functions and Optimization), which is what
+and tc out, or tc in and {s, t1..t(c-1)} out.  Every cut runs on the network
+the decomposition solved, from the previous cut's flow.  The minimizers of one
+step form a lattice (Fujishige, Submodular Functions and Optimization), which
 lets the lexicographically smallest minimizer be read off the largest ones.
 """
 
@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FREE, IN, OUT, ProblemInstance, _Transport, make_instance, parse_rational
-from .decomposition import CrpDecomposition, crp_decomposition
+from .core import FREE, IN, OUT, ProblemInstance, _feasible_network, _Transport
+from .core import make_instance, parse_rational
+from .decomposition import CrpDecomposition, _labelled, crp_decomposition
 from .errors import GapUndefined, Infeasible, InvariantViolation, SizeLimitExceeded
 
 __all__ = [
@@ -38,9 +39,9 @@ __all__ = [
 ]
 
 # Largest m + n + |E| a gap request may have.  The cost grows with the block
-# sizes and the edge count; pooled graphs at this size took up to 9.5 s
-# (m = 500 with 3000 edges), 4.9 s at m = 800 with 2400 edges, and the
-# 1000-chain 3.3 s (Python 3.11, one core).
+# sizes and the edge count.  At this size pooled graphs took up to 1.6 s with
+# m = 500 and 3000 edges, 1.7 s with m = 800 and 2400 edges, and the 1000-chain
+# 1.9 s (Python 3.11, one core); without a C compiler, 7.6, 4.6 and 2.1 s.
 MAX_GAP_SIZE = 4000
 
 
@@ -58,15 +59,6 @@ class GapReport:
             "argmin_set": None if self.argmin_set is None else sorted(self.argmin_set),
             "alt_gap": "undefined" if self.alt_gap is None else str(self.alt_gap),
         }
-
-
-def _decomposed(inst: ProblemInstance) -> CrpDecomposition:
-    size = inst.m + inst.n + len(inst.edges)
-    if size > MAX_GAP_SIZE:
-        raise SizeLimitExceeded(
-            f"gap on {size} vertices and edges; the limit is {MAX_GAP_SIZE}"
-        )
-    return crp_decomposition(inst)
 
 
 def _gap_chains(dec: CrpDecomposition):
@@ -106,19 +98,19 @@ def _alt_chains(dec: CrpDecomposition):
         yield steps
 
 
-def _chain_cuts(inst: ProblemInstance, chains):
-    """Min cuts along every step of every chain, on one network.
+def _chain_cuts(net: _Transport, chains):
+    """Min cuts along every step of every chain, on the solved network net.
 
-    Yields (min f over the sets the step allows, in rate units, network) per
-    step.  Each cut's flow starts from the previous one's: only the demands
-    whose forcing changed are drained first.
+    Yields min f over the sets each step allows, in rate units, while net
+    holds that step's cut.  Each cut's flow starts from the previous one's,
+    the first from net's own: only the demands whose forcing changed are
+    drained first.
     """
-    net = _Transport(inst)
     for steps in chains:
         for changes in steps:
             for i, mode in changes:
                 net.force(i, mode)
-            yield net.max_flow() - inst.total_units, net
+            yield net.max_flow() - net.inst.total_units
         for i in dict.fromkeys(i for changes in steps for i, _mode in changes):
             net.force(i, FREE)
 
@@ -155,20 +147,30 @@ def _lex_smallest(inst: ProblemInstance, dec: CrpDecomposition, delta, tops) -> 
     return frozenset(chosen)
 
 
-def _gap_report(inst: ProblemInstance, dec: CrpDecomposition) -> GapReport:
+def _gap(inst: ProblemInstance) -> tuple[GapReport, int]:
+    """The gap report and the block count, from one solved network: the
+    decomposition reads its residual graph, then both chain families cut it."""
+    size = inst.m + inst.n + len(inst.edges)
+    if size > MAX_GAP_SIZE:
+        raise SizeLimitExceeded(
+            f"gap on {size} vertices and edges; the limit is {MAX_GAP_SIZE}"
+        )
+    net = _feasible_network(inst)
+    dec = _labelled(net)
     delta = None
     tops: list[list[int]] = []
-    for v, net in _chain_cuts(inst, _gap_chains(dec)):
+    for v in _chain_cuts(net, _gap_chains(dec)):
         if delta is None or v < delta:
             delta, tops = v, []
         if v == delta:
             tops.append(net.cut_demands())
-    alt = min((v for v, _net in _chain_cuts(inst, _alt_chains(dec))), default=None)
+    alt = min(_chain_cuts(net, _alt_chains(dec)), default=None)
     if delta is None:
-        return GapReport(None, None, None if alt is None else Fraction(alt, inst.scale))
+        report = GapReport(None, None, None if alt is None else Fraction(alt, inst.scale))
+        return report, dec.erp_number
     alt = delta if alt is None else min(alt, delta)
     return GapReport(Fraction(delta, inst.scale), _lex_smallest(inst, dec, delta, tops),
-                     Fraction(alt, inst.scale))
+                     Fraction(alt, inst.scale)), dec.erp_number
 
 
 def crp_gap(inst: ProblemInstance) -> GapReport:
@@ -181,7 +183,7 @@ def crp_gap(inst: ProblemInstance) -> GapReport:
     subsets where it is positive.  Ties go to the lexicographically smallest
     demand tuple.  Refuses instances whose m + n + |E| exceeds MAX_GAP_SIZE.
     """
-    return _gap_report(inst, _decomposed(inst))
+    return _gap(inst)[0]
 
 
 @dataclass(frozen=True)
@@ -254,17 +256,14 @@ def check_perturbation(inst: ProblemInstance, omega) -> PerturbationCheck:
     the perturbed block count is computed and checked against the bound.
     """
     w = _omega(inst, omega)
-    dec = _decomposed(inst)
-    return _perturbation_check(inst, w, _gap_report(inst, dec), dec.erp_number)
+    return _perturbation_check(inst, w, *_gap(inst))
 
 
 def gap_and_checks(inst: ProblemInstance, omegas) -> tuple[GapReport, list[PerturbationCheck]]:
     """crp_gap(inst) and check_perturbation(inst, omega) for each omega, from
     one decomposition and one gap computation.  Not exported: it serves the
     CLI's `gap --perturb`."""
-    dec = _decomposed(inst)
-    report = _gap_report(inst, dec)
+    report, base_erp = _gap(inst)
     return report, [
-        _perturbation_check(inst, _omega(inst, omega), report, dec.erp_number)
-        for omega in omegas
+        _perturbation_check(inst, _omega(inst, omega), report, base_erp) for omega in omegas
     ]

@@ -9,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procflex import cli, native, validate_instance
+from procflex import cli, core, native, validate_instance
 from procflex.cli import main
 from procflex.design import MAX_COVER_SIZE
 from procflex.planning import MAX_PLAN_TABLE_BITS
@@ -395,6 +396,43 @@ def test_simulate_csv_and_json(files, capsys):
                          "--horizon", "1000", "--levels", "100000000000000000000,3")
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "SizeLimitExceeded"
+
+
+def test_simulate_refuses_seeds_past_64_bits(files, capsys, tmp_path):
+    args = ("simulate", files["two"], "--eps", "0.1", "--horizon", "1000", "--format", "json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *args, "--seed", str(2**64 - 1))
+    assert code == 0 and err == ""
+    doc = envelope(out)
+    assert doc["seed"] == 2**64 - 1
+    code, out, err = run(capsys, *args, "--seed", str(2**64))
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ValueError", "message": "seed must be below 2^64"}
+    doc["seed"] = 2**64
+    path = tmp_path / "past.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and out == "" and json.loads(err)["error"] == "ValueError"
+
+
+def test_gap_builds_one_network_plus_one_per_admissible_omega(files, capsys, tmp_path,
+                                                              monkeypatch):
+    builds = []
+    init = core._Transport.__init__
+    monkeypatch.setattr(core._Transport, "__init__",
+                        lambda net, *a, **k: builds.append(1) or init(net, *a, **k))
+    assert run(capsys, "gap", files["blocks"])[0] == 0
+    assert len(builds) == 1
+    pert = tmp_path / "pert.json"
+    omegas = [["1/2", 0, "-1/2", 0, 0], [2, 0, -2, 0, 0], [0, "1/4", 0, "-1/4", 0]]
+    pert.write_text(json.dumps({"omegas": omegas}))
+    builds.clear()
+    code, out, _ = run(capsys, "gap", files["blocks"], "--perturb", str(pert))
+    assert code == 0
+    admissible = [c["admissible"] for c in envelope(out)["result"]["perturbations"]]
+    assert admissible == [True, False, True]
+    assert len(builds) == 1 + 2
 
 
 def test_simulate_chunk_cap(capsys, tmp_path):

@@ -9,8 +9,10 @@ from itertools import permutations
 import pytest
 
 from procflex import (
+    CrpDecomposition,
     EdgeAlreadyPresent,
     InvalidK,
+    InvariantViolation,
     Schedule,
     SizeLimitExceeded,
     add_edge_effect,
@@ -387,6 +389,29 @@ def test_edge_what_ifs_solve_one_max_flow(monkeypatch, four_pair_instance):
     assert flows(erp_trajectory, four_pair_instance, [(2, 3), (4, 1), (3, 1)]) == 1
     assert flows(fillers.realize, diagonal(3)) == 1
     assert flows(best_single_edge, four_pair_instance) == 1
+
+
+def test_greedy_vs_optimal_walks_each_chain_once(monkeypatch):
+    walked = []
+    with_edge = CrpDecomposition.with_edge
+    monkeypatch.setattr(CrpDecomposition, "with_edge",
+                        lambda dec, edge: walked.append(edge) or with_edge(dec, edge))
+    for K in (1, 3, 7):
+        walked.clear()
+        rep = greedy_vs_optimal_report(diagonal(5), K, "sum")
+        assert rep.optimal_mode == "structured"
+        assert walked == list(rep.greedy_edges + rep.optimal_edges)
+        assert len(walked) == 2 * K
+
+
+def test_realize_checks_the_counts_it_walks(monkeypatch):
+    fillers = structured_schedule(3, 4, (3,))
+    assert fillers.realize(diagonal(3)) and ("filler",) in fillers.moves
+    monkeypatch.setattr(Schedule, "trajectory", lambda self: (3,) * self.horizon)
+    with pytest.raises(InvariantViolation, match=r"differs from plan \(3, 3, 3, 3\)$"):
+        fillers.realize(diagonal(3))
+    with pytest.raises(InvariantViolation, match=r"\(3, 2\) differs from plan \(3, 3\)$"):
+        greedy_vs_optimal_report(diagonal(3), 2, "sum")
 
 
 def _primes(count):

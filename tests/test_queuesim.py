@@ -509,6 +509,18 @@ def test_simulate_deterministic_and_extendable():
     assert a.samples_per_rep == 4500 and a.warmup == 500
 
 
+def test_seeds_key_their_streams_as_unsigned_64_bit_words():
+    inst = four_pair_graph()
+    # a list key past 2^63 went through float64, so these two ran one stream
+    runs = [simulate(inst, "0.1", horizon=2000, seed=seed) for seed in (2**63, 2**63 + 1)]
+    assert runs[0] != runs[1]
+    assert simulate(inst, "0.1", horizon=2000, seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        simulate(inst, "0.1", horizon=2000, seed=2**64)
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        heavy_traffic_check(inst, ["0.1"], horizon=2000, seed=2**64)
+
+
 def test_single_queue_heavy_traffic_identity():
     # a in {0,3}: eps * E[q] = 1 - eps exactly, RHS = 1
     one = make_instance([1], [1], [(1, 1)])

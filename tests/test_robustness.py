@@ -13,7 +13,7 @@ from procflex import (
     crp_gap,
     make_instance,
 )
-from procflex.core import FREE, _Transport
+from procflex.core import FREE, _feasible_network, _Transport
 from procflex.robustness import MAX_GAP_SIZE, _alt_chains, _chain_cuts, _gap_chains
 
 from .conftest import (
@@ -210,13 +210,25 @@ def test_gap_matches_the_subset_scan():
     assert defined >= 300
 
 
+def test_gap_requests_build_one_network(monkeypatch, three_block_instance):
+    builds = []
+    init = _Transport.__init__
+    monkeypatch.setattr(_Transport, "__init__",
+                        lambda net, *a, **k: builds.append(1) or init(net, *a, **k))
+    crp_gap(three_block_instance)
+    assert len(builds) == 1
+    builds.clear()
+    check = check_perturbation(three_block_instance, [2, 0, -2, 0, 0])
+    assert not check.admissible and len(builds) == 1
+
+
 def test_warm_started_cuts_match_fresh_networks():
     rng = random.Random(89)
     steps_checked = 0
     for inst in _gap_cases(rng, 150):
         dec = crp_decomposition(inst)
         chains = list(_gap_chains(dec)) + list(_alt_chains(dec))
-        warm = [v for v, _net in _chain_cuts(inst, chains)]
+        warm = list(_chain_cuts(_feasible_network(inst), chains))
         fresh = []
         for steps in chains:
             modes = {}
