@@ -10,87 +10,46 @@ heavy-traffic predictions the decomposition makes.
 
 import importlib
 
-from .errors import (
-    AlreadyCrp,
-    DuplicateEdge,
-    EdgeAlreadyPresent,
-    EdgeOutOfRange,
-    GapUndefined,
-    IndexOutOfRange,
-    Infeasible,
-    InternalMergeStuck,
-    InvalidEpsilon,
-    InvalidK,
-    InvariantViolation,
-    IsolatedServer,
-    NegativeRate,
-    ProcflexError,
-    SizeLimitExceeded,
-    TargetAboveDstarStar,
-    UnbalancedTotals,
-    ZeroVector,
-)
-from .core import (
-    Assignment,
-    ProblemInstance,
-    find_feasible_point,
-    format_rational,
-    greedy_extreme_point,
-    is_feasible,
-    make_instance,
-    parse_rational,
-    validate_instance,
-)
-from .decomposition import (
-    CrpComponent,
-    CrpDag,
-    CrpDecomposition,
-    crp_decomposition,
-    ssc_basis,
-)
-from .augmentation import EdgeEffect, add_edge_effect, best_single_edge
-from .planning import (
-    ClosedFormReport,
-    GreedyOptimalReport,
-    Objective,
-    PlanReport,
-    Schedule,
-    erp_trajectory,
-    greedy_vs_optimal_report,
-    make_objective,
-    plan_schedule,
-    structured_schedule,
-)
-from .robustness import (
-    GapReport,
-    PerturbationCheck,
-    check_perturbation,
-    crp_gap,
-)
+# Every public name, by the module that defines it.  `import procflex` loads
+# none of them: a name's module is imported on first access (PEP 562) and the
+# name is then kept here, so a caller loads only the modules it uses.
+_EXPORTS = {
+    "errors": ("AlreadyCrp", "DuplicateEdge", "EdgeAlreadyPresent", "EdgeOutOfRange",
+               "GapUndefined", "IndexOutOfRange", "Infeasible", "InternalMergeStuck",
+               "InvalidEpsilon", "InvalidK", "InvariantViolation", "IsolatedServer",
+               "NegativeRate", "ProcflexError", "SizeLimitExceeded", "TargetAboveDstarStar",
+               "UnbalancedTotals", "ZeroVector"),
+    "core": ("Assignment", "ProblemInstance", "find_feasible_point", "format_rational",
+             "greedy_extreme_point", "is_feasible", "make_instance", "parse_rational",
+             "validate_instance"),
+    "decomposition": ("CrpComponent", "CrpDag", "CrpDecomposition", "crp_decomposition",
+                      "ssc_basis"),
+    "augmentation": ("EdgeEffect", "add_edge_effect", "best_single_edge"),
+    "planning": ("ClosedFormReport", "GreedyOptimalReport", "Objective", "PlanReport",
+                 "Schedule", "erp_trajectory", "greedy_vs_optimal_report", "make_objective",
+                 "plan_schedule", "structured_schedule"),
+    "robustness": ("GapReport", "PerturbationCheck", "check_perturbation", "crp_gap"),
+    "design": ("BalancedCover", "DesignResult", "d_star", "design_flexibility",
+               "max_balanced_cover", "min_edges"),
+    "queuesim": ("ArrivalModel", "HeavyTrafficReport", "HeavyTrafficRow", "SimStats",
+                 "heavy_traffic_check", "make_arrival_model", "simulate"),
+}
 
-# design and queuesim load numpy, which most of a CLI start does not need:
-# their names are imported on first access (PEP 562) and then kept here.
-_LAZY = dict.fromkeys(("BalancedCover", "DesignResult", "d_star", "design_flexibility",
-                       "max_balanced_cover", "min_edges"), "design")
-_LAZY |= dict.fromkeys(("ArrivalModel", "HeavyTrafficReport", "HeavyTrafficRow", "SimStats",
-                        "heavy_traffic_check", "make_arrival_model", "simulate"), "queuesim")
+# what `from procflex import *` binds: every public name
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    module = next((module for module, names in _EXPORTS.items() if name in names), None)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *__all__})
 
-
-# what `from procflex import *` binds: every public name, the lazy ones too
-__all__ = sorted({name for name, value in globals().items()
-                  if not name.startswith("_") and not isinstance(value, type(importlib))}
-                 | _LAZY.keys())
 
 __version__ = "0.1.0"

@@ -14,8 +14,9 @@ encoder's compact text and then one C pass that adds the indent=2 layout
 `simulate` emits CSV by default (sweeps want columns, not trees); `--format
 json` switches it to the envelope.
 
-Only `design` and `simulate` import the modules that load numpy, so the
-other verbs start without it.
+Each result builder imports the module it runs when it runs, so a verb loads
+only its own layer: `validate` needs nothing past core, and only `design`
+and `simulate` load numpy.
 
 Exit codes: 0 success, 1 domain errors (infeasible instance, invalid target,
 failed verification, a simulation above MAX_SIM_STEPS steps), 2 malformed
@@ -38,13 +39,9 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from . import native
-from .augmentation import add_edge_effect, best_single_edge
 from .core import ProblemInstance, format_rational, is_feasible, parse_rational
 from .core import _is_int, validate_instance
-from .decomposition import crp_decomposition, ssc_basis
 from .errors import ProcflexError, SizeLimitExceeded, VerificationFailed
-from .planning import plan_schedule
-from .robustness import gap_and_checks
 
 SCHEMA_VERSION = 1
 
@@ -267,6 +264,8 @@ def _validate(inst: ProblemInstance, options: dict, seed: int) -> dict:
 
 
 def _decompose(inst: ProblemInstance, options: dict, seed: int) -> dict:
+    from .decomposition import crp_decomposition, ssc_basis
+
     decomp = crp_decomposition(inst)
     out = decomp.to_dict()
     for comp, entry in zip(decomp.components, out["components"]):
@@ -280,7 +279,7 @@ def _decompose(inst: ProblemInstance, options: dict, seed: int) -> dict:
 
 
 def _design(inst: ProblemInstance, options: dict, seed: int) -> dict:
-    from .design import design_flexibility  # imported here: it loads numpy
+    from .design import design_flexibility
 
     res = design_flexibility(inst.demand, inst.supply, options["erp"])
     entries = res.assignment.entries
@@ -294,6 +293,8 @@ def _design(inst: ProblemInstance, options: dict, seed: int) -> dict:
 
 
 def _gap(inst: ProblemInstance, options: dict, seed: int) -> dict:
+    from .robustness import gap_and_checks
+
     report, checks = gap_and_checks(inst, options["perturb"] or ())
     out = report.to_dict()
     if options["perturb"] is not None:
@@ -302,19 +303,23 @@ def _gap(inst: ProblemInstance, options: dict, seed: int) -> dict:
 
 
 def _augment(inst: ProblemInstance, options: dict, seed: int) -> dict:
+    from .augmentation import add_edge_effect, best_single_edge
+
     if options.get("best"):
         return best_single_edge(inst)[1].to_dict()
     return add_edge_effect(inst, tuple(options["edge"])).to_dict()
 
 
 def _plan(inst: None, options: dict, seed: int) -> dict:
+    from .planning import plan_schedule
+
     objective = options["objective"]
     spec = objective["tables"] if isinstance(objective, dict) else objective
     return plan_schedule(options["eta"], options["budget"], spec).to_dict()
 
 
 def _simulate(inst: ProblemInstance, options: dict, seed: int) -> dict:
-    from .queuesim import heavy_traffic_check  # imported here: it loads numpy
+    from .queuesim import heavy_traffic_check
 
     report = heavy_traffic_check(
         inst, options["eps"], horizon=options["horizon"], warmup=options["warmup"],

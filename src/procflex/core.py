@@ -672,21 +672,16 @@ def find_feasible_point(inst: ProblemInstance, order_seed: int = 0) -> Assignmen
     return _feasible_network(inst, order_seed=order_seed).assignment()
 
 
-def greedy_extreme_point(
-    demand: Sequence,
-    supply: Sequence,
-    order: Iterable[tuple[int, int]] | None = None,
-) -> Assignment:
+def greedy_extreme_point(demand: Sequence, supply: Sequence) -> Assignment:
     """Extreme point of the complete-bipartite polytope by greedy saturation.
 
-    Repeatedly picks an active (demand, supply) pair, routes the largest
-    possible amount, and retires whichever side is exhausted; on a tie both
-    sides retire, which is exactly what produces degenerate extreme points
-    with several components.  `order` is an explicit sequence of pairs, or
-    None (the default) for the lexicographically smallest active pair.
+    Repeatedly picks the lexicographically smallest active (demand, supply)
+    pair, routes the largest possible amount, and retires whichever side is
+    exhausted; on a tie both sides retire, which is exactly what produces
+    degenerate extreme points with several components.
 
-    All extreme points arise this way for some order, and with integer rates
-    every entry is an integer multiple of the combined GCD.
+    Picking the pairs in other orders reaches every extreme point; with
+    integer rates every entry is an integer multiple of the combined GCD.
     """
     nu = [parse_rational(v) for v in demand]
     mu = [parse_rational(v) for v in supply]
@@ -699,19 +694,10 @@ def greedy_extreme_point(
             raise NegativeRate("rates must be nonnegative")
     active_i = set(range(1, m + 1))
     active_j = set(range(1, n + 1))
-    explicit = None if order is None else iter(list(order))
     entries: dict[tuple[int, int], Fraction] = {}
     while active_i and active_j:
-        if explicit is None:
-            i = min(active_i)
-            j = min(active_j)
-        else:
-            try:
-                i, j = next(explicit)
-            except StopIteration:
-                raise ValueError("explicit order exhausted before completion")
-            if i not in active_i or j not in active_j:
-                raise ValueError(f"order step ({i},{j}) references retired vertex")
+        i = min(active_i)
+        j = min(active_j)
         v = min(nu[i - 1], mu[j - 1])
         if v > 0:
             entries[(i, j)] = v

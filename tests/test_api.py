@@ -28,12 +28,13 @@ def test_every_public_name_is_exported_by_the_package():
 
 
 def test_names_imported_on_first_access_are_listed_and_resolve():
-    # the package imports design and queuesim only when one of their names is read
-    for name, module in procflex._LAZY.items():
-        assert name in dir(procflex)
+    # the package imports a module only when one of its names is read
+    for module, names in procflex._EXPORTS.items():
         owner = importlib.import_module(f"procflex.{module}")
-        assert getattr(procflex, name) is getattr(owner, name)
+        for name in names:
+            assert name in dir(procflex)
+            assert getattr(procflex, name) is getattr(owner, name)
     assert not hasattr(procflex, "no_such_name")
     namespace = {}
     exec("from procflex import *", namespace)
-    assert set(procflex._LAZY) <= set(namespace) and "simulate" in procflex.__all__
+    assert set(procflex.__all__) <= set(namespace) and "simulate" in procflex.__all__

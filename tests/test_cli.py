@@ -737,37 +737,38 @@ def fresh_interpreter(code: str, *args: str) -> str:
 
 
 def test_numpy_is_loaded_only_by_design_and_simulate(tmp_path):
+    # a bare import and then each verb in a fresh interpreter: the procflex
+    # modules it loaded, and whether numpy was among them
     paths = write_inputs(str(tmp_path))
-    verbs = [
-        ["validate", paths["blocks"]],
-        ["decompose", paths["blocks"]],
-        ["augment", "--best", paths["blocks"]],
-        ["gap", paths["blocks"], "--perturb", paths["pert"]],
-        ["plan", "--eta", "4", "--budget", "3"],
-        ["verify", paths["envelope"]],
+    code = (
+        "import json, sys, procflex\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv:\n"
+        "    import procflex.cli\n"
+        "    assert procflex.cli.main(argv) == 0, argv\n"
+        "json.dump([sorted(m for m in sys.modules if m.startswith('procflex.')),\n"
+        "           'numpy' in sys.modules], sys.stderr)"
+    )
+    cli_base = {"cli", "core", "errors", "native"}
+    runs = [
+        ([], set(), False),
+        (["validate", paths["blocks"]], cli_base, False),
+        (["decompose", paths["blocks"]], cli_base | {"decomposition"}, False),
+        (["augment", "--best", paths["blocks"]],
+         cli_base | {"decomposition", "augmentation"}, False),
+        (["gap", paths["blocks"], "--perturb", paths["pert"]],
+         cli_base | {"decomposition", "robustness"}, False),
+        (["plan", "--eta", "4", "--budget", "3"],
+         cli_base | {"decomposition", "augmentation", "planning"}, False),
+        # the envelope holds a decompose result
+        (["verify", paths["envelope"]], cli_base | {"decomposition"}, False),
+        (["design", "--erp", "1", paths["two"]], cli_base | {"decomposition", "design"}, True),
+        (["simulate", paths["two"], "--eps", "0.1", "--horizon", "300", "--format", "json"],
+         cli_base | {"decomposition", "queuesim"}, True),
     ]
-    code = (
-        "import json, sys, procflex, procflex.cli\n"
-        "loaded = ['numpy' in sys.modules]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert procflex.cli.main(argv) == 0, argv\n"
-        "    loaded.append('numpy' in sys.modules)\n"
-        "print(loaded, file=sys.stderr)"
-    )
-    assert fresh_interpreter(code, json.dumps(verbs)) == f"{[False] * 7}\n"
-    # design and simulate load it on demand, as do their names in the package
-    verbs = [["design", "--erp", "1", paths["two"]],
-             ["simulate", paths["two"], "--eps", "0.1", "--horizon", "300", "--format", "json"]]
-    code = (
-        "import json, sys, procflex.cli\n"
-        "from procflex import simulate, design_flexibility\n"
-        "from procflex import design, queuesim\n"
-        "print(simulate is queuesim.simulate, design_flexibility is design.design_flexibility,"
-        " file=sys.stderr)\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert procflex.cli.main(argv) == 0, argv\n"
-    )
-    assert fresh_interpreter(code, json.dumps(verbs)) == "True True\n"
+    for argv, modules, numpy in runs:
+        loaded, has_numpy = json.loads(fresh_interpreter(code, json.dumps(argv)))
+        assert (loaded, has_numpy) == (sorted(f"procflex.{m}" for m in modules), numpy), argv
 
 
 def test_validate_on_a_cached_library_leaves_subprocess_unloaded(tmp_path):

@@ -177,16 +177,9 @@ def test_greedy_extreme_point_single_pair():
 
 
 def test_greedy_extreme_point_tie_splits_components():
-    x = pf.greedy_extreme_point([2, 1], [2, 1], order=[(1, 1), (2, 2)])
+    x = pf.greedy_extreme_point([2, 1], [2, 1])
     assert dict(x.entries) == {(1, 1): 2, (2, 2): 1}
     assert _forest_components(2, 2, x.support()) == 2
-
-
-def test_greedy_extreme_point_explicit_tree_order():
-    x = pf.greedy_extreme_point([2, 1], [2, 1], order=[(1, 2), (1, 1), (2, 1)])
-    assert dict(x.entries) == {(1, 2): 1, (1, 1): 1, (2, 1): 1}
-    assert _forest_components(2, 2, x.support()) == 1
-    assert len(x.entries) == 3
 
 
 def test_greedy_extreme_point_unbalanced():
