@@ -172,6 +172,9 @@ MALFORMED = [
      "edge entries must be lists: {'1': 1, '2': 1}"),
     ("short_supply", _doc(n=2), "DocumentError", "supply has 1 entries, expected n=2"),
     ("float_rate", _doc(demand=[1.5]), "DocumentError", "not a rational: 1.5"),
+    ("bool_rate", _doc(demand=[True]), "DocumentError", "not a rational: True"),
+    ("string_rate", _doc(demand=["1/x"], supply=["1/x"]), "DocumentError",
+     "not a rational: '1/x'"),
     ("huge_exponent", _doc(demand=["1e99999999"], supply=["1e99999999"]), "DocumentError",
      "not a rational: '1e99999999' (exponent above 1000)"),
     ("negative_rate", _doc(demand=[2, -1]), "NegativeRate", "demand 2 is negative: -1"),
@@ -216,6 +219,23 @@ def test_malformed_documents_name_their_first_fault(doc, error, message, tmp_pat
     if error == "DocumentError":
         assert code == 2
         message = f"{path}: {message}"
+    else:
+        assert code == 1
+    assert out == "" and json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("doc, error, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in MALFORMED])
+def test_malformed_envelope_inputs_name_their_first_fault(doc, error, message, tmp_path,
+                                                          capsys):
+    # verify reads the stored instance before its options and result
+    path = tmp_path / "envelope.json"
+    path.write_text(json.dumps({"schema_version": 1, "command": "validate", "seed": 0,
+                                "options": {}, "input": doc, "result": {}}))
+    code, out, err = run(capsys, "verify", str(path))
+    if error == "DocumentError":
+        assert code == 2
+        message = f"envelope input: {message}"
     else:
         assert code == 1
     assert out == "" and json.loads(err) == {"error": error, "message": message}
