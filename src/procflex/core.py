@@ -2,11 +2,14 @@
 
 A problem instance is a triple (demand, supply, edges) describing the polytope
 of nonnegative matrices x with row sums ``demand``, column sums ``supply`` and
-support restricted to ``edges``.  Rates are parsed to Fractions, then scaled
-once per instance by the lcm of their denominators to the Python ints that
-every layer reads (``scale``, ``demand_units``, ``supply_units``); Fractions
-are made again only for returned values.  Feasibility, redundancy and
-extremality are exact-zero properties, so no floating point comes near them.
+support restricted to ``edges``.  An instance stores its rates in the exact
+integer form every layer reads: ``scale``, the lcm of their denominators, and
+``demand_units`` and ``supply_units``, the rates times it as Python ints.  A
+document whose rates and edge indices are all ints is read straight to that
+form at scale 1; any other is parsed to Fractions and scaled once.  The rates
+as Fractions (``demand``, ``supply``) are made on first read, for the callers
+that want them as values.  Feasibility, redundancy and extremality are
+exact-zero properties, so no floating point comes near them.
 
 Vertices are 1-indexed.  Demand indices live in [1, m], supply indices in
 [1, n]; the two index spaces are distinct (an edge is a (demand, supply) pair).
@@ -14,15 +17,17 @@ Vertices are 1-indexed.  Demand indices live in [1, m], supply indices in
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import math
 import numbers
 import random
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from . import native
@@ -86,31 +91,25 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Validated (demand, supply, edges) triple with equal totals."""
+    """Validated (demand, supply, edges) triple with equal totals, stored in
+    the exact integer form every layer reads: the rates times ``scale``, the
+    least common multiple of their denominators, as ints."""
 
     m: int
     n: int
-    demand: tuple[Fraction, ...]
-    supply: tuple[Fraction, ...]
+    scale: int
+    demand_units: tuple[int, ...]
+    supply_units: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
+    sorted_edges: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
 
     @cached_property
-    def _rate_units(self) -> tuple[int, tuple[int, ...]]:
-        return _units(self.demand + self.supply)
+    def demand(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(u, self.scale) for u in self.demand_units)
 
     @cached_property
-    def scale(self) -> int:
-        """Least common multiple of the rate denominators; demand_units and
-        supply_units are the rates times it, as ints."""
-        return self._rate_units[0]
-
-    @cached_property
-    def demand_units(self) -> tuple[int, ...]:
-        return self._rate_units[1][:len(self.demand)]
-
-    @cached_property
-    def supply_units(self) -> tuple[int, ...]:
-        return self._rate_units[1][len(self.demand):]
+    def supply(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(u, self.scale) for u in self.supply_units)
 
     @cached_property
     def total_units(self) -> int:
@@ -119,10 +118,6 @@ class ProblemInstance:
     @cached_property
     def total(self) -> Fraction:
         return Fraction(self.total_units, self.scale)
-
-    @cached_property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
 
     @cached_property
     def demand_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -144,17 +139,24 @@ class ProblemInstance:
         i, j = _edge_pair(edge)
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise EdgeOutOfRange(f"edge {edge} outside [1,{self.m}]x[1,{self.n}]")
-        return ProblemInstance(
-            self.m, self.n, self.demand, self.supply, self.edges | {(i, j)}
-        )
+        edges = self.sorted_edges
+        if (i, j) not in self.edges:
+            k = bisect.bisect(edges, (i, j))
+            edges = (*edges[:k], (i, j), *edges[k:])
+        return ProblemInstance(self.m, self.n, self.scale, self.demand_units,
+                               self.supply_units, self.edges | {(i, j)}, edges)
 
     def to_dict(self) -> dict:
+        if self.scale == 1:
+            demand, supply = self.demand_units, self.supply_units
+        else:
+            demand, supply = self.demand, self.supply
         return {
             "m": self.m,
             "n": self.n,
-            "demand": [format_rational(v) for v in self.demand],
-            "supply": [format_rational(v) for v in self.supply],
-            "edges": [list(e) for e in self.sorted_edges],
+            "demand": list(map(str, demand)),
+            "supply": list(map(str, supply)),
+            "edges": list(map(list, self.sorted_edges)),
         }
 
 
@@ -183,6 +185,9 @@ def validate_instance(raw: Mapping) -> ProblemInstance:
     exact strings like "3/2".  Raises the structured domain errors for rate
     and edge problems, ValueError for malformed documents.
     """
+    inst = _int_instance(raw)
+    if inst is not None:
+        return inst
     try:
         m = raw["m"]
         n = raw["n"]
@@ -207,6 +212,38 @@ def validate_instance(raw: Mapping) -> ProblemInstance:
     return make_instance(demand_raw, supply_raw, edges_raw)
 
 
+def _int_instance(raw) -> ProblemInstance | None:
+    """The instance of a document whose sizes, rates and edge indices are all
+    plain ints (bools excluded) and which passes every check of the checked
+    path, in one pass at scale 1; None for any other document, which the
+    checked path then reads and, if it must, rejects with its own message."""
+    if type(raw) is not dict:
+        return None
+    m, n = raw.get("m"), raw.get("n")
+    demand, supply, edges = raw.get("demand"), raw.get("supply"), raw.get("edges")
+    if not (type(m) is int and type(n) is int and type(demand) is list
+            and type(supply) is list and type(edges) is list
+            and 0 < m == len(demand) and 0 < n == len(supply)):
+        return None
+    if ({*map(type, demand), *map(type, supply)} != {int}
+            or min(demand) < 0 or min(supply) < 0 or sum(demand) != sum(supply)):
+        return None
+    if not {*map(type, edges)} <= {list} or not {*map(len, edges)} <= {2}:
+        return None
+    flat = list(chain.from_iterable(edges))
+    if not {*map(type, flat)} <= {int}:
+        return None
+    rows, cols = flat[0::2], flat[1::2]
+    if edges and not (1 <= min(rows) and max(rows) <= m and 1 <= min(cols) and max(cols) <= n):
+        return None
+    pairs = list(zip(rows, cols))
+    edge_set = frozenset(pairs)
+    if len(edge_set) != len(pairs):
+        return None
+    pairs.sort()
+    return ProblemInstance(m, n, 1, tuple(demand), tuple(supply), edge_set, tuple(pairs))
+
+
 def make_instance(
     demand: Sequence, supply: Sequence, edges: Iterable[tuple[int, int]]
 ) -> ProblemInstance:
@@ -227,7 +264,9 @@ def make_instance(
         if e in seen:
             raise DuplicateEdge(f"edge {e} listed twice")
         seen.add(e)
-    inst = ProblemInstance(m, n, demand_f, supply_f, frozenset(edge_list))
+    scale, units = _units(demand_f + supply_f)
+    inst = ProblemInstance(m, n, scale, units[:m], units[m:], frozenset(seen),
+                           tuple(sorted(seen)))
     if inst.total_units != sum(inst.supply_units):
         raise UnbalancedTotals(f"total demand {inst.total} != total supply "
                                f"{Fraction(sum(inst.supply_units), inst.scale)}")
@@ -281,17 +320,19 @@ def _units(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 # caller that lowers a capacity after draining the flow through it can solve
 # again from the rest of the old flow.
 #
-# max_flow() runs the whole loop in one call of a small C function
-# (_DINIC_SOURCE, built by `native`) over int64 copies of the arcs: a CSR
+# max_flow() runs the whole loop in one call of a small C function, and
+# scc_labels() runs Tarjan's pass in another (both in _DINIC_SOURCE, one
+# library built by `native`).  They read int64 copies of the arcs: a CSR
 # adjacency, arc_to and a work buffer, laid out once per network and again
-# only when add_arc has added arcs since, and res, copied in and back per
-# call.  It scans arcs and runs the DFS in the same order as the Python loop
-# (_levels, _blocking_flow), so res comes back identical list for list, and
-# so does everything read off it.  Every arc capacity is at most inf and
-# res[a] + res[a ^ 1] is the capacity of arc a, so every residual, every
-# push and the flow value stay within [0, inf]: the C loop runs when inf fits
-# in int64.  Past that, or where no library can be built, the Python loop
-# runs.
+# only when add_arc has added arcs since, and res, copied in (and back, for
+# max_flow) per call.  They scan arcs, run the DFS and take Tarjan's roots in
+# the same order as the Python loops (_levels, _blocking_flow, the Python
+# body of scc_labels), so res and the labels come back identical list for
+# list, and so does everything read off them.  Every arc capacity is at most
+# inf and res[a] + res[a ^ 1] is the capacity of arc a, so every residual,
+# every push and the flow value stay within [0, inf]: the C loops run when
+# inf fits in int64.  Past that, or where no library can be built, the Python
+# loops run.
 #
 # Node layout: 0 = source, 1..m = demands, m+1..m+n = supplies, m+n+1 =
 # sink.  Arc (demand i -> supply j) carries x_ij.  Capacities are the
@@ -375,20 +416,72 @@ int64_t dinic(int64_t n, int64_t source, int64_t sink, const int64_t *start,
         }
     }
 }
+
+/* Tarjan's pass over the arcs a with res[a] != 0: work[v] becomes the label
+   of node v's strongly connected component, labels counted in the order the
+   components complete.  Roots are taken in node order and arcs in CSR order.
+   A visited node is on Tarjan's stack until it is labelled.  work holds 6n
+   int64. */
+void tarjan(int64_t n, const int64_t *start, const int64_t *arcs, const int64_t *to,
+            const int64_t *res, int64_t *work)
+{
+    int64_t *comp = work, *index = work + n, *low = work + 2 * n,
+            *next = work + 3 * n, *stack = work + 4 * n, *call = work + 5 * n;
+    int64_t count = 0, labels = 0, top = 0;
+    for (int64_t v = 0; v < n; v++) {
+        comp[v] = index[v] = -1;
+        next[v] = start[v];
+    }
+    for (int64_t root = 0; root < n; root++) {
+        if (index[root] >= 0)
+            continue;
+        index[root] = low[root] = count++;
+        stack[top++] = root;
+        int64_t depth = 0;
+        call[depth++] = root;
+        while (depth) {
+            int64_t u = call[depth - 1];
+            if (next[u] < start[u + 1]) {
+                int64_t a = arcs[next[u]++], v = to[a];
+                if (!res[a])
+                    continue;
+                if (index[v] < 0) {
+                    index[v] = low[v] = count++;
+                    stack[top++] = v;
+                    call[depth++] = v;
+                } else if (comp[v] < 0 && index[v] < low[u])
+                    low[u] = index[v];
+                continue;
+            }
+            if (--depth && low[u] < low[call[depth - 1]])
+                low[call[depth - 1]] = low[u];
+            if (low[u] == index[u]) {
+                int64_t w;
+                do {
+                    w = stack[--top];
+                    comp[w] = labels;
+                } while (w != u);
+                labels++;
+            }
+        }
+    }
+}
 """
 
 
 @cache
 def _dinic():
-    """The compiled Dinic loop, or None where it cannot be built or loaded
-    (see `native.load`), in which case the Python loop runs."""
+    """The compiled flow library, holding Dinic's loop (`dinic`) and Tarjan's
+    pass (`tarjan`), or None where it cannot be built or loaded (see
+    `native.load`), in which case the Python loops run."""
     lib = native.load("dinic", _DINIC_SOURCE)
     if lib is None:
         return None
-    fn = lib.dinic
-    fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
-    fn.restype = ctypes.c_int64
-    return fn
+    lib.dinic.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
+    lib.dinic.restype = ctypes.c_int64
+    lib.tarjan.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
+    lib.tarjan.restype = None
+    return lib
 
 
 _INT64_MAX = (1 << 63) - 1
@@ -510,30 +603,36 @@ class _Transport:
 
     def max_flow(self) -> int:
         """Augment the current flow to a maximum one; returns its value."""
-        dinic = _dinic() if self.inf <= _INT64_MAX else None
-        if dinic is None:
+        lib = self._library()
+        if lib is None:
             while True:
                 level = self._levels()
                 if level[self.sink] < 0:
                     return self.flow
                 self.flow += self._blocking_flow(level)
-        if self._layout[0] != len(self.arc_to):
-            self._layout = self._csr()
         start, arcs, to, work = self._layout[2]
         res = array("q", self.res)
-        self.flow += dinic(self.n_nodes, self.source, self.sink, start, arcs, to,
-                           res.buffer_info()[0], work)
+        self.flow += lib.dinic(self.n_nodes, self.source, self.sink, start, arcs, to,
+                               res.buffer_info()[0], work)
         self.res[:] = res.tolist()
         return self.flow
 
+    def _library(self):
+        """The compiled flow library, with the arcs laid out for it as they
+        are now; None where the Python loops run."""
+        lib = _dinic() if self.inf <= _INT64_MAX else None
+        if lib is not None and self._layout[0] != len(self.arc_to):
+            self._layout = self._csr()
+        return lib
+
     def _csr(self) -> tuple:
-        """The C loop's layout of the arcs as they are now."""
+        """The C loops' layout of the arcs as they are now."""
         start, arcs = [0], []
         for out in self.adj:
             arcs += out
             start.append(len(arcs))
         bufs = (array("q", start), array("q", arcs), array("q", self.arc_to),
-                array("q", bytes(32 * self.n_nodes)))
+                array("q", bytes(48 * self.n_nodes)))
         return len(self.arc_to), bufs, [b.buffer_info()[0] for b in bufs]
 
     def cut_demands(self) -> list[int]:
@@ -556,6 +655,12 @@ class _Transport:
         """Strongly connected component label of each demand, then each
         supply, in the residual graph, whose arcs are the arcs with res > 0
         (Tarjan, iterative, over every node)."""
+        lib = self._library()
+        if lib is not None:
+            start, arcs, to, work = self._layout[2]
+            res = array("q", self.res)
+            lib.tarjan(self.n_nodes, start, arcs, to, res.buffer_info()[0], work)
+            return self._layout[1][3][1:self.sink].tolist()
         adj, to, res = self.adj, self.arc_to, self.res
         size = self.n_nodes
         index = [-1] * size

@@ -222,7 +222,7 @@ def structured_schedule(eta: int, K: int, k=()) -> Schedule:
     if not isinstance(eta, int) or isinstance(eta, bool) or eta < 1:
         raise ValueError(f"eta must be a positive integer, got {eta!r}")
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
-        raise ValueError(f"horizon must be a non-negative integer, got {K!r}")
+        raise ValueError(f"budget K must be a non-negative integer, got {K!r}")
     k = tuple(k)
     p = len(k)
     _check_k(eta, K, k)
@@ -420,7 +420,7 @@ def plan_schedule(eta: int, K: int, objective) -> PlanReport:
     if not isinstance(eta, int) or isinstance(eta, bool) or eta < 1:
         raise ValueError(f"eta must be a positive integer, got {eta!r}")
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
-        raise ValueError(f"horizon must be a positive integer, got {K!r}")
+        raise ValueError(f"budget K must be a positive integer, got {K!r}")
     if max(eta, K) > MAX_PLAN_SIZE:
         raise SizeLimitExceeded(
             f"plan for eta={eta} and horizon {K}; both are limited to {MAX_PLAN_SIZE}"
@@ -497,7 +497,7 @@ def greedy_vs_optimal_report(
     absent edges and large ones report the optimum as unavailable.
     """
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
-        raise ValueError(f"horizon must be a non-negative integer, got {K!r}")
+        raise ValueError(f"budget K must be a non-negative integer, got {K!r}")
     dec = crp_decomposition(inst)
     eta = dec.erp_number
     obj = make_objective(objective, eta, K)

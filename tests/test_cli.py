@@ -374,6 +374,13 @@ def test_plan_verb(files, capsys, tmp_path):
     assert code == 1 and json.loads(err)["error"] == "SizeLimitExceeded"
 
 
+def test_plan_names_the_budget_in_its_refusal(capsys):
+    code, out, err = run(capsys, "plan", "--eta", "2", "--budget", "0")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "budget K must be a positive integer, got 0"}
+
+
 def test_plan_at_the_size_cap(capsys, tmp_path):
     # both optima equal tests/oracles.dp_plan_reference at this size
     for objective, value in (("final", "1"), ("sum", "22389")):

@@ -119,6 +119,79 @@ def test_rational_strings_round_trip():
     assert again == inst
 
 
+def test_integer_documents_keep_fraction_rates():
+    doc = {"m": 2, "n": 1, "demand": [3, 0], "supply": [3], "edges": [[2, 1], [1, 1]]}
+    inst = pf.validate_instance(doc)
+    assert core._int_instance(doc) == inst == pf.make_instance([3, 0], [3], [(2, 1), (1, 1)])
+    assert (inst.scale, inst.demand_units, inst.sorted_edges) == (1, (3, 0), ((1, 1), (2, 1)))
+    assert type(inst.demand[0]) is Fraction and type(inst.supply[0]) is Fraction
+    assert inst.demand == (3, 0) and inst.supply == (3,)
+
+
+def mutated_documents(rng, count):
+    """All-int documents, most of them broken by one to three random
+    mutations of a size, a rate, an edge entry or an edge index."""
+    junk = [True, False, 1.0, 1.5, -1, 0, "1", "x", None, [], {}, [1], [1, 1, 1], 10**30]
+    for _ in range(count):
+        inst = (random_instance_with_zero_rates(rng, 5, 5) if rng.random() < 0.3
+                else random_feasible_instance(rng, 5, 5))
+        doc = {"m": inst.m, "n": inst.n, "demand": list(inst.demand_units),
+               "supply": list(inst.supply_units), "edges": [list(e) for e in inst.sorted_edges]}
+        rng.shuffle(doc["edges"])
+        for _ in range(rng.randint(0, 3)):
+            key = rng.choice(("m", "n") + ("demand", "supply") * 3 + ("edges",) * 6)
+            values = doc[key]
+            if not isinstance(values, list) or not values or rng.random() < 0.05:
+                doc[key] = rng.choice(junk + [inst.m + 1, inst.n - 1])
+                continue
+            k = rng.randrange(len(values))
+            action = rng.randrange(4)
+            if action == 0:
+                values.append(values[k])
+            elif action == 1:
+                del values[k]
+            elif key != "edges":
+                values[k] = rng.choice(junk + [rng.randint(-1, 5)] * 4)
+            elif action == 2 or not isinstance(values[k], list) or not values[k]:
+                values[k] = rng.choice(junk + [[rng.randint(0, inst.m + 1),
+                                                rng.randint(0, inst.n + 1)]] * 4)
+            else:
+                values[k] = list(values[k])
+                values[k][rng.randrange(len(values[k]))] = rng.choice(
+                    junk + [0, inst.m + 1, inst.n + 1])
+        yield doc
+
+
+def outcome(doc):
+    """The exception validate_instance raises, as the CLI reports it, or the
+    instance's stored fields and its document."""
+    try:
+        inst = pf.validate_instance(doc)
+    except (pf.ProcflexError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return (inst.scale, inst.demand_units, inst.supply_units, inst.edges, inst.sorted_edges,
+            inst.to_dict())
+
+
+def test_int_documents_read_the_same_on_the_fast_and_the_checked_path(monkeypatch):
+    docs = list(mutated_documents(random.Random(2701), 3000))
+    # faults one random mutation does not make: a negative rate in balanced
+    # totals, a side with no vertices
+    docs += [{"m": 1, "n": 2, "demand": [1], "supply": [2, -1], "edges": [[1, 1]]},
+             {"m": 2, "n": 1, "demand": [-1, 2], "supply": [1], "edges": [[2, 1]]},
+             {"m": 1, "n": 0, "demand": [0], "supply": [], "edges": []},
+             {"m": 0, "n": 1, "demand": [], "supply": [0], "edges": []}]
+    fast = [outcome(doc) for doc in docs]
+    accepted = sum(core._int_instance(doc) is not None for doc in docs)
+    monkeypatch.setattr(core, "_int_instance", lambda raw: None)
+    assert [outcome(doc) for doc in docs] == fast
+    # both sides of the fast pass are exercised, and the errors are varied
+    rejected = {result[0] for result in fast if isinstance(result[0], type)}
+    assert accepted >= 500 and len(fast) - accepted >= 1500
+    assert {ValueError, pf.NegativeRate, pf.EdgeOutOfRange, pf.DuplicateEdge,
+            pf.UnbalancedTotals} <= rejected
+
+
 def test_floats_rejected():
     with pytest.raises(ValueError):
         pf.parse_rational(0.5)
@@ -283,9 +356,7 @@ def test_feasibility_matches_hall_oracle_bulk():
         base = random_feasible_instance(rng, max_m=5, max_n=5)
         # random sub-edge-set; may or may not stay feasible
         keep = [e for e in base.sorted_edges if rng.random() < 0.8]
-        inst = pf.ProblemInstance(
-            base.m, base.n, base.demand, base.supply, frozenset(keep)
-        )
+        inst = pf.make_instance(base.demand, base.supply, keep)
         fast = pf.is_feasible(inst)
         assert fast == hall_feasible(inst)
         assert fast == (oracles.hall_violated_subset(inst) is None)
@@ -351,22 +422,24 @@ def test_feasible_point_matches_vertex_hull(seed):
 
 
 def flow_loops(monkeypatch):
-    """Select the compiled Dinic loop, then the Python loop that replaces it
-    where no C compiler is found; yields each loop's name."""
+    """Select the compiled flow library (Dinic's loop and Tarjan's pass), then
+    the Python loops that replace it where no C compiler is found; yields each
+    path's name."""
     if shutil.which("cc") is not None:
         assert core._dinic() is not None
-    for name, dinic in (("compiled", core._dinic()), ("python", None)):
-        monkeypatch.setattr(core, "_dinic", lambda: dinic)
+    for name, lib in (("compiled", core._dinic()), ("python", None)):
+        monkeypatch.setattr(core, "_dinic", lambda: lib)
         yield name
 
 
 def solves(inst, order_seed, forcings):
-    """Flow value and residuals after the first solve and after each forcing."""
+    """Flow value, residuals and residual SCC labels after the first solve and
+    after each forcing."""
     net = _Transport(inst, order_seed=order_seed)
-    out = [(net.max_flow(), list(net.res))]
+    out = [(net.max_flow(), list(net.res), net.scc_labels())]
     for i, mode in forcings:
         net.force(i, mode)
-        out.append((net.max_flow(), list(net.res)))
+        out.append((net.max_flow(), list(net.res), net.scc_labels()))
     return out
 
 
@@ -487,6 +560,9 @@ def test_flow_loop_choice_at_the_int64_boundary(monkeypatch):
 
 
 def envelopes(paths):
+    """Each verb's envelope on the instance files, then the residual SCC
+    labels of each instance's network after its first solve and after
+    forcing its first demand out."""
     argvs = [["validate", paths[0]], ["augment", "--best", paths[0]],
              ["augment", "--edge", "1,4", paths[1]], ["gap", paths[1]]]
     argvs += [["decompose", path, "--seed", str(seed)] for path in paths for seed in range(4)]
@@ -496,6 +572,13 @@ def envelopes(paths):
         with redirect_stdout(buf):
             code = main(argv)
         out.append((code, buf.getvalue()))
+    for path in paths:
+        with open(path) as fh:
+            net = core._feasible_network(pf.validate_instance(json.load(fh)))
+        out.append(net.scc_labels())
+        net.force(1, OUT)
+        net.max_flow()
+        out.append(net.scc_labels())
     return out
 
 

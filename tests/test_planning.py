@@ -193,8 +193,12 @@ def test_plan_two_blocks_one_step():
 def test_plan_validates_arguments():
     with pytest.raises(ValueError):
         plan_schedule(0, 3, "sum")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^budget K must be a positive integer, got 0$"):
         plan_schedule(3, 0, "sum")
+    with pytest.raises(ValueError, match="^budget K must be a non-negative integer, got -1$"):
+        structured_schedule(3, -1)
+    with pytest.raises(ValueError, match="^budget K must be a non-negative integer, got -1$"):
+        greedy_vs_optimal_report(diagonal(3), -1)
     with pytest.raises(ValueError):
         plan_schedule(3, 2, "nonsense")
     for eta, K in ((10**12, 3), (3, 10**12), (201, 1), (1, 201)):

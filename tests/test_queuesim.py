@@ -261,7 +261,7 @@ def test_simulate_refuses_indices_past_the_stream_keys():
     top = 1 << 20
     for m, n in ((top, 1), (1, top)):
         with pytest.raises(SizeLimitExceeded):
-            simulate(ProblemInstance(m, n, (), (), frozenset()), "0.1", horizon=10)
+            simulate(ProblemInstance(m, n, 1, (), (), frozenset(), ()), "0.1", horizon=10)
 
 
 def step_loops(monkeypatch):
