@@ -549,7 +549,12 @@ def _run(args: argparse.Namespace) -> str:
     result = verb.build(inst, options, args.seed)
     text = verb.write(inst, options, result)
     if text is None:
-        input_doc = inst.to_dict() if verb.reads == "instance" else None
+        input_doc = None
+        if verb.build is _validate:
+            # validate's result holds the instance's document already
+            input_doc = {key: result[key] for key in ("m", "n", "demand", "supply", "edges")}
+        elif verb.reads == "instance":
+            input_doc = inst.to_dict()
         text = _envelope(args.command, args.seed, input_doc, options, result)
     return text
 

@@ -5,8 +5,9 @@ of nonnegative matrices x with row sums ``demand``, column sums ``supply`` and
 support restricted to ``edges``.  An instance stores its rates in the exact
 integer form every layer reads: ``scale``, the lcm of their denominators, and
 ``demand_units`` and ``supply_units``, the rates times it as Python ints.  A
-document whose rates and edge indices are all ints is read straight to that
-form at scale 1; any other is parsed to Fractions and scaled once.  The rates
+document whose edge indices are ints and whose rates are ints, or integers
+written as to_dict writes them, is read straight to that form at scale 1;
+any other is parsed to Fractions and scaled once.  The rates
 as Fractions (``demand``, ``supply``) are made on first read, for the callers
 that want them as values.  Feasibility, redundancy and extremality are
 exact-zero properties, so no floating point comes near them.
@@ -23,11 +24,12 @@ import math
 import numbers
 import random
 import re
+import struct
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
 from . import native
@@ -212,11 +214,33 @@ def validate_instance(raw: Mapping) -> ProblemInstance:
     return make_instance(demand_raw, supply_raw, edges_raw)
 
 
+def _int_rates(rates: list) -> list | None:
+    """rates as ints when each is a plain int or a canonical decimal string,
+    the form to_dict writes at scale 1 (ASCII digits, no sign, space or "_",
+    no leading zero but in "0"); else None."""
+    if {*map(type, rates)} == {int}:
+        return rates
+    out = []
+    for rate in rates:
+        if type(rate) is str and rate.isascii() and rate.isdigit() and (
+                rate[0] != "0" or rate == "0"):
+            try:
+                rate = int(rate)
+            except ValueError:
+                # past int's digit limit: the checked path words the refusal
+                return None
+        if type(rate) is not int:
+            return None
+        out.append(rate)
+    return out
+
+
 def _int_instance(raw) -> ProblemInstance | None:
-    """The instance of a document whose sizes, rates and edge indices are all
-    plain ints (bools excluded) and which passes every check of the checked
-    path, in one pass at scale 1; None for any other document, which the
-    checked path then reads and, if it must, rejects with its own message."""
+    """The instance of a document whose sizes and edge indices are all plain
+    ints (bools excluded), whose rates are ints or canonical decimal strings
+    (see _int_rates) and which passes every check of the checked path, in
+    one pass at scale 1; None for any other document, which the checked path
+    then reads and, if it must, rejects with its own message."""
     if type(raw) is not dict:
         return None
     m, n = raw.get("m"), raw.get("n")
@@ -225,7 +249,8 @@ def _int_instance(raw) -> ProblemInstance | None:
             and type(supply) is list and type(edges) is list
             and 0 < m == len(demand) and 0 < n == len(supply)):
         return None
-    if ({*map(type, demand), *map(type, supply)} != {int}
+    demand, supply = _int_rates(demand), _int_rates(supply)
+    if (demand is None or supply is None
             or min(demand) < 0 or min(supply) < 0 or sum(demand) != sum(supply)):
         return None
     if not {*map(type, edges)} <= {list} or not {*map(len, edges)} <= {2}:
@@ -314,34 +339,41 @@ def _units(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 # Exact max flow.
 #
 # _Transport is the transportation network of an instance, solved by Dinic's
-# algorithm on integer capacities over an arc list: BFS levels, then blocking
-# flows found by an iterative DFS with current-arc pointers that prunes dead
-# ends.  max_flow() augments whatever flow the arcs already carry, so a
-# caller that lowers a capacity after draining the flow through it can solve
-# again from the rest of the old flow.
-#
-# max_flow() runs the whole loop in one call of a small C function, and
-# scc_labels() runs Tarjan's pass in another (both in _DINIC_SOURCE, one
-# library built by `native`).  They read int64 copies of the arcs: a CSR
-# adjacency, arc_to and a work buffer, laid out once per network and again
-# only when add_arc has added arcs since, and res, copied in (and back, for
-# max_flow) per call.  They scan arcs, run the DFS and take Tarjan's roots in
-# the same order as the Python loops (_levels, _blocking_flow, the Python
-# body of scc_labels), so res and the labels come back identical list for
-# list, and so does everything read off them.  Every arc capacity is at most
-# inf and res[a] + res[a ^ 1] is the capacity of arc a, so every residual,
-# every push and the flow value stay within [0, inf]: the C loops run when
-# inf fits in int64.  Past that, or where no library can be built, the Python
-# loops run.
+# algorithm on integer capacities: BFS levels, then blocking flows found by an
+# iterative DFS with current-arc pointers that prunes dead ends.  max_flow()
+# augments whatever flow the arcs already carry, so a caller that lowers a
+# capacity after draining the flow through it can solve again from the rest
+# of the old flow.
 #
 # Node layout: 0 = source, 1..m = demands, m+1..m+n = supplies, m+n+1 =
-# sink.  Arc (demand i -> supply j) carries x_ij.  Capacities are the
-# instance's rate units (rates times inst.scale, computed once per
-# instance), so capacities and flows are Python ints and the arithmetic
-# stays exact; the "infinite" capacity on instance edges, 2 * total_units +
-# 1, exceeds every finite arc's capacity put together, so no cut can afford
-# it.  Only _Transport reads the layout: other modules read the solved
-# network through assignment(), scc_labels() (the residual SCCs the pooling
+# sink.  Arc a ^ 1 is the reverse of arc a.  The arcs come in four runs: one
+# source arc per demand, one arc per instance edge (demand i -> supply j,
+# carrying x_ij) in edge order, one supply arc per supply and one sink arc
+# per demand.  The arcs out of node u are arcs[start[u]:start[u + 1]], in arc
+# order, so a demand's sink arc ends its row.  A sink arc has capacity 0
+# until force(i, OUT) raises it, and an arc with res 0 both ways is skipped
+# by every scan: the network is laid out once, with every arc a forcing may
+# need, and its live arcs are scanned in the order a layout without the dead
+# ones would give.  res[a] + res[a ^ 1] is the capacity of arc a.
+#
+# Capacities are the instance's rate units (rates times inst.scale), so
+# capacities and flows are ints and the arithmetic stays exact; the
+# "infinite" capacity on instance edges, 2 * total_units + 1, exceeds every
+# finite arc's capacity put together, so no cut can afford it.  Every
+# residual, every push and the flow value stay within [0, inf].
+#
+# Where inf fits in int64 and the flow library (_DINIC_SOURCE, built by
+# `native`) loads, its `build` pass lays the network out in int64 arrays, and
+# `dinic` and `tarjan` solve and label in place: res stays in its buffer,
+# which force(), drain(), cut_demands() and assignment() read and write too.
+# Past int64, or where no library can be built, _arc_layout lays out the same
+# arrays as lists and the Python loops (_levels, _blocking_flow, the Python
+# body of scc_labels) run on them.  The C loops scan arcs, run the DFS and
+# take Tarjan's roots in the same order as the Python loops, so res and the
+# labels come back identical, and so does everything read off them.
+#
+# Only _Transport reads the layout: other modules read the solved network
+# through assignment(), scc_labels() (the residual SCCs the pooling
 # decomposition is made of) and cut_demands() (the min cut the gap reads).
 # order_seed permutes the edge arcs so tests can seed the decomposition with
 # genuinely different feasible points.
@@ -349,6 +381,52 @@ def _units(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 
 _DINIC_SOURCE = r"""
 #include <stdint.h>
+
+static void put(int64_t a, int64_t u, int64_t v, int64_t cap, int64_t *arcs, int64_t *to,
+                int64_t *res, int64_t *next)
+{
+    to[a] = v;
+    to[a ^ 1] = u;
+    res[a] = cap;
+    res[a ^ 1] = 0;
+    arcs[next[u]++] = a;
+    arcs[next[v]++] = a ^ 1;
+}
+
+/* Lay out the network of m demands, n supplies and the e edges (pairs[2k],
+   pairs[2k + 1]), taken in that order; units holds the m demand rate units,
+   then the n supply ones.  Fills start (m + n + 3 int64) and arcs, to and res
+   (4m + 2e + 2n int64 each); work holds m + n + 2 int64. */
+void build(int64_t m, int64_t n, int64_t e, const int64_t *pairs, const int64_t *units,
+           int64_t inf, int64_t *start, int64_t *arcs, int64_t *to, int64_t *res,
+           int64_t *work)
+{
+    int64_t sink = m + n + 1, a = 0;
+    /* node v's out-degree at start[v + 1]: the source has its m source arcs,
+       a demand its source arc, its edges and its sink arc, a supply its
+       edges and its supply arc, and the sink its n supply and m sink arcs */
+    start[0] = 0;
+    start[1] = m;
+    for (int64_t v = 1; v < sink; v++)
+        start[v + 1] = v <= m ? 2 : 1;
+    start[sink + 1] = n + m;
+    for (int64_t k = 0; k < e; k++) {
+        start[pairs[2 * k] + 1]++;
+        start[m + pairs[2 * k + 1] + 1]++;
+    }
+    for (int64_t v = 0; v <= sink; v++) {
+        start[v + 1] += start[v];
+        work[v] = start[v];
+    }
+    for (int64_t i = 1; i <= m; i++, a += 2)
+        put(a, 0, i, units[i - 1], arcs, to, res, work);
+    for (int64_t k = 0; k < e; k++, a += 2)
+        put(a, pairs[2 * k], m + pairs[2 * k + 1], inf, arcs, to, res, work);
+    for (int64_t j = 1; j <= n; j++, a += 2)
+        put(a, m + j, sink, units[m + j - 1], arcs, to, res, work);
+    for (int64_t i = 1; i <= m; i++, a += 2)
+        put(a, i, sink, 0, arcs, to, res, work);
+}
 
 /* Augment the flow in res to a maximum one; returns the value added.  The
    arcs out of node u are arcs[start[u]:start[u + 1]]; work holds 4n int64. */
@@ -471,17 +549,40 @@ void tarjan(int64_t n, const int64_t *start, const int64_t *arcs, const int64_t 
 
 @cache
 def _dinic():
-    """The compiled flow library, holding Dinic's loop (`dinic`) and Tarjan's
-    pass (`tarjan`), or None where it cannot be built or loaded (see
-    `native.load`), in which case the Python loops run."""
+    """The compiled flow library, holding the layout pass (`build`), Dinic's
+    loop (`dinic`) and Tarjan's pass (`tarjan`), or None where it cannot be
+    built or loaded (see `native.load`), in which case the Python loops run."""
     lib = native.load("dinic", _DINIC_SOURCE)
     if lib is None:
         return None
+    lib.build.argtypes = ([ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
+                          + [ctypes.c_void_p] * 5)
+    lib.build.restype = None
     lib.dinic.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
     lib.dinic.restype = ctypes.c_int64
     lib.tarjan.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
     lib.tarjan.restype = None
     return lib
+
+
+def _arc_layout(m: int, n: int, edges: Sequence[tuple[int, int]], units: Sequence[int],
+                inf: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(start, arcs, to, res) of the network, as lists: the arrays `build`
+    fills in, for the Python loops and as its oracle."""
+    sink = m + n + 1
+    ends = [(0, i) for i in range(1, m + 1)]
+    ends += [(i, m + j) for i, j in edges]
+    ends += [(v, sink) for v in range(m + 1, sink)]
+    ends += [(i, sink) for i in range(1, m + 1)]
+    caps = [*units[:m], *[inf] * len(edges), *units[m:], *[0] * m]
+    rows: list[list[int]] = [[] for _ in range(sink + 1)]
+    to: list[int] = []
+    for a, (u, v) in enumerate(ends):
+        rows[u].append(2 * a)
+        rows[v].append(2 * a + 1)
+        to += (v, u)
+    start = [0, *accumulate(map(len, rows))]
+    return start, list(chain.from_iterable(rows)), to, [r for cap in caps for r in (cap, 0)]
 
 
 _INT64_MAX = (1 << 63) - 1
@@ -497,10 +598,10 @@ class _Transport:
     cut_demands().
 
     force(i, IN) makes demand i's source arc uncapacitated and force(i, OUT)
-    gives it an uncapacitated arc to the sink, so a min cut keeps i on the
-    source or the sink side.  The demands on the source side of a min cut
-    then minimize mu(N(C)) - nu(C) over the sets C the forcing allows, and
-    the cut's value is that minimum plus nu of every demand.
+    its sink arc, so a min cut keeps i on the source or the sink side.  The
+    demands on the source side of a min cut then minimize mu(N(C)) - nu(C)
+    over the sets C the forcing allows, and the cut's value is that minimum
+    plus nu of every demand.
     """
 
     def __init__(self, inst: ProblemInstance, order_seed: int = 0):
@@ -511,47 +612,54 @@ class _Transport:
         self.sink = m + n + 1
         # no arc capacity exceeds inf
         self.inf = 2 * inst.total_units + 1
-        self.arc_to: list[int] = []
-        # residual capacities; arc a ^ 1 is the reverse of arc a
-        self.res: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
         # value of the flow the arcs carry
         self.flow = 0
-        # (arc count, int64 buffers, their addresses) for the C loop
-        self._layout: tuple = (-1,)
-        self.source_arc = [-1] + [self.add_arc(0, i, nu)
-                                  for i, nu in enumerate(inst.demand_units, 1)]
-        self.sink_arc: dict[int, int] = {}
         self.mode = [FREE] * (m + 1)
-        edge_order = list(inst.sorted_edges)
+        edges = inst.sorted_edges
         if order_seed:
-            random.Random(order_seed).shuffle(edge_order)
-        self.edge_arc: dict[tuple[int, int], int] = {}
-        for i, j in edge_order:
-            self.edge_arc[(i, j)] = self.add_arc(i, m + j, self.inf)
-        self.supply_arc = [-1] + [self.add_arc(m + j, self.sink, mu)
-                                  for j, mu in enumerate(inst.supply_units, 1)]
+            edges = list(edges)
+            random.Random(order_seed).shuffle(edges)
+        # the instance's edges in arc order
+        self.edges = edges
+        # demand i's source arc is 2i - 2; supply node v's supply arc is
+        # _supply_arcs + 2v and demand i's sink arc _sink_arcs + 2i
+        self._supply_arcs = 2 * len(edges) - 2
+        self._sink_arcs = 2 * (m + len(edges) + n) - 2
+        units = inst.demand_units + inst.supply_units
+        self._lib = _dinic() if self.inf <= _INT64_MAX else None
+        if self._lib is None:
+            self.start, self.arcs, self.arc_to, self.res = _arc_layout(m, n, edges, units,
+                                                                       self.inf)
+        else:
+            size = 2 * (2 * m + len(edges) + n)
+            bufs = [array("q", bytes(8 * k))
+                    for k in (self.n_nodes + 1, size, size, size, 6 * self.n_nodes)]
+            self.start, self.arcs, self.arc_to, self.res, self._work = bufs
+            # (start, arcs, to, res, work) as the C loops take them
+            self._buffers = [b.buffer_info()[0] for b in bufs]
+            # packed by struct: array("q", ...) converts item by item
+            pairs = struct.pack(f"{2 * len(edges)}q", *chain.from_iterable(edges))
+            self._lib.build(m, n, len(edges), pairs, struct.pack(f"{m + n}q", *units),
+                            self.inf, *self._buffers)
 
-    def add_arc(self, u: int, v: int, cap: int) -> int:
-        a = len(self.arc_to)
-        self.arc_to.extend((v, u))
-        self.res.extend((cap, 0))
-        self.adj[u].append(a)
-        self.adj[v].append(a ^ 1)
-        return a
+    @cached_property
+    def edge_arc(self) -> dict[tuple[int, int], int]:
+        """The arc of each instance edge."""
+        m = self.inst.m
+        return dict(zip(self.edges, range(2 * m, 2 * (m + len(self.edges)), 2)))
 
     def _levels(self) -> list[int]:
         """BFS distance from the source over residual arcs (-1 unreached).
 
         Stops once the sink is reached: every node nearer than the sink has
         its level by then, and a farther one lies on no shortest path."""
-        res, to, adj, sink = self.res, self.arc_to, self.adj, self.sink
+        res, to, arcs, start, sink = self.res, self.arc_to, self.arcs, self.start, self.sink
         level = [-1] * self.n_nodes
         level[self.source] = 0
         queue = [self.source]
         for u in queue:
             d = level[u] + 1
-            for a in adj[u]:
+            for a in arcs[start[u]:start[u + 1]]:
                 v = to[a]
                 if level[v] < 0 and res[a] > 0:
                     level[v] = d
@@ -562,9 +670,9 @@ class _Transport:
 
     def _blocking_flow(self, level: list[int]) -> int:
         """Saturate every shortest augmenting path of the level graph."""
-        res, to, adj = self.res, self.arc_to, self.adj
+        res, to, arcs, start = self.res, self.arc_to, self.arcs, self.start
         source, sink = self.source, self.sink
-        pointer = [0] * self.n_nodes
+        pointer = start[:-1]
         path: list[int] = []
         pushed = 0
         u = source
@@ -580,16 +688,16 @@ class _Transport:
                 del path[k:]
                 u = to[path[-1]] if path else source
                 continue
-            arcs = adj[u]
             k = pointer[u]
+            end = start[u + 1]
             want = level[u] + 1
-            while k < len(arcs):
+            while k < end:
                 a = arcs[k]
                 if res[a] > 0 and level[to[a]] == want:
                     break
                 k += 1
             pointer[u] = k
-            if k < len(arcs):
+            if k < end:
                 path.append(arcs[k])
                 u = to[arcs[k]]
                 continue
@@ -603,48 +711,25 @@ class _Transport:
 
     def max_flow(self) -> int:
         """Augment the current flow to a maximum one; returns its value."""
-        lib = self._library()
-        if lib is None:
-            while True:
-                level = self._levels()
-                if level[self.sink] < 0:
-                    return self.flow
-                self.flow += self._blocking_flow(level)
-        start, arcs, to, work = self._layout[2]
-        res = array("q", self.res)
-        self.flow += lib.dinic(self.n_nodes, self.source, self.sink, start, arcs, to,
-                               res.buffer_info()[0], work)
-        self.res[:] = res.tolist()
-        return self.flow
-
-    def _library(self):
-        """The compiled flow library, with the arcs laid out for it as they
-        are now; None where the Python loops run."""
-        lib = _dinic() if self.inf <= _INT64_MAX else None
-        if lib is not None and self._layout[0] != len(self.arc_to):
-            self._layout = self._csr()
-        return lib
-
-    def _csr(self) -> tuple:
-        """The C loops' layout of the arcs as they are now."""
-        start, arcs = [0], []
-        for out in self.adj:
-            arcs += out
-            start.append(len(arcs))
-        bufs = (array("q", start), array("q", arcs), array("q", self.arc_to),
-                array("q", bytes(48 * self.n_nodes)))
-        return len(self.arc_to), bufs, [b.buffer_info()[0] for b in bufs]
+        if self._lib is not None:
+            self.flow += self._lib.dinic(self.n_nodes, self.source, self.sink, *self._buffers)
+            return self.flow
+        while True:
+            level = self._levels()
+            if level[self.sink] < 0:
+                return self.flow
+            self.flow += self._blocking_flow(level)
 
     def cut_demands(self) -> list[int]:
         """The demands with no residual path to the sink, in order.  After
         max_flow() they are the demands on the source side of the min cut
         with the largest source side."""
-        res, to, adj = self.res, self.arc_to, self.adj
+        res, to, arcs, start = self.res, self.arc_to, self.arcs, self.start
         blocked = [True] * self.n_nodes
         blocked[self.sink] = False
         queue = [self.sink]
         for v in queue:
-            for a in adj[v]:
+            for a in arcs[start[v]:start[v + 1]]:
                 u = to[a]
                 if blocked[u] and res[a ^ 1] > 0:
                     blocked[u] = False
@@ -655,18 +740,15 @@ class _Transport:
         """Strongly connected component label of each demand, then each
         supply, in the residual graph, whose arcs are the arcs with res > 0
         (Tarjan, iterative, over every node)."""
-        lib = self._library()
-        if lib is not None:
-            start, arcs, to, work = self._layout[2]
-            res = array("q", self.res)
-            lib.tarjan(self.n_nodes, start, arcs, to, res.buffer_info()[0], work)
-            return self._layout[1][3][1:self.sink].tolist()
-        adj, to, res = self.adj, self.arc_to, self.res
+        if self._lib is not None:
+            self._lib.tarjan(self.n_nodes, *self._buffers)
+            return self._work[1:self.sink].tolist()
+        arcs, start, to, res = self.arcs, self.start, self.arc_to, self.res
         size = self.n_nodes
         index = [-1] * size
         low = [0] * size
         comp = [-1] * size
-        next_arc = [0] * size
+        next_arc = start[:-1]
         on_stack = [False] * size
         stack: list[int] = []
         count = labels = 0
@@ -681,9 +763,9 @@ class _Transport:
             while call:
                 u = call[-1]
                 k = next_arc[u]
-                if k < len(adj[u]):
+                if k < start[u + 1]:
                     next_arc[u] = k + 1
-                    a = adj[u][k]
+                    a = arcs[k]
                     if not res[a]:
                         continue
                     v = to[a]
@@ -713,26 +795,25 @@ class _Transport:
         self.res[a] = cap - self.res[a ^ 1]
 
     def drain(self, i: int) -> None:
-        """Zero the flow through demand i: its source arc, its edges, the sink
-        arcs of those supplies and its own sink arc."""
-        res = self.res
-        for j in self.inst.demand_adj[i - 1]:
-            a = self.edge_arc[(i, j)]
+        """Zero the flow through demand i: its source arc, its edges, the
+        supply arcs of those edges' supplies and its sink arc."""
+        res, to, start, supply_arcs = self.res, self.arc_to, self.start, self._supply_arcs
+        # demand i's row: its source arc's reverse, its edge arcs, its sink arc
+        for a in self.arcs[start[i] + 1:start[i + 1] - 1]:
             x = res[a ^ 1]
             if x:
                 res[a] += x
                 res[a ^ 1] = 0
-                s = self.supply_arc[j]
+                s = supply_arcs + 2 * to[a]
                 res[s] += x
                 res[s ^ 1] -= x
-        a = self.source_arc[i]
+        a = 2 * i - 2
         self.flow -= res[a ^ 1]
         res[a] += res[a ^ 1]
         res[a ^ 1] = 0
-        a = self.sink_arc.get(i)
-        if a is not None:
-            res[a] += res[a ^ 1]
-            res[a ^ 1] = 0
+        a = self._sink_arcs + 2 * i
+        res[a] += res[a ^ 1]
+        res[a ^ 1] = 0
 
     def force(self, i: int, mode: int) -> None:
         """Set demand i FREE, IN or OUT; the flow stays feasible."""
@@ -743,12 +824,8 @@ class _Transport:
             self.drain(i)
         self.mode[i] = mode
         nu = self.inst.demand_units[i - 1]
-        self._set_cap(self.source_arc[i], self.inf if mode == IN else nu)
-        if i not in self.sink_arc:
-            if mode != OUT:
-                return
-            self.sink_arc[i] = self.add_arc(i, self.sink, 0)
-        self._set_cap(self.sink_arc[i], self.inf if mode == OUT else 0)
+        self._set_cap(2 * i - 2, self.inf if mode == IN else nu)
+        self._set_cap(self._sink_arcs + 2 * i, self.inf if mode == OUT else 0)
 
     def assignment(self) -> Assignment:
         res, scale = self.res, self.inst.scale

@@ -82,6 +82,19 @@ def test_validate_roundtrip(files, capsys):
     assert validate_instance(doc["result"]) == original
 
 
+def test_validate_writes_the_instance_document_once(files, capsys, monkeypatch):
+    calls = []
+    to_dict = core.ProblemInstance.to_dict
+    monkeypatch.setattr(core.ProblemInstance, "to_dict",
+                        lambda inst: calls.append(1) or to_dict(inst))
+    code, out, _ = run(capsys, "validate", files["blocks"])
+    assert code == 0 and len(calls) == 1
+    inst = validate_instance(THREE_BLOCK)
+    expected = dict(schema_version=1, command="validate", seed=0, input=to_dict(inst),
+                    options={}, result={**to_dict(inst), "total": "7", "feasible": True})
+    assert out == envelope_text(expected)
+
+
 def test_validate_reads_stdin(files, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TWO)))
     code, out, _ = run(capsys, "validate", "-")

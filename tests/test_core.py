@@ -5,6 +5,7 @@ import random
 import shutil
 import tempfile
 import time
+import types
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -190,6 +191,27 @@ def test_int_documents_read_the_same_on_the_fast_and_the_checked_path(monkeypatc
     assert accepted >= 500 and len(fast) - accepted >= 1500
     assert {ValueError, pf.NegativeRate, pf.EdgeOutOfRange, pf.DuplicateEdge,
             pf.UnbalancedTotals} <= rejected
+
+
+def test_rate_strings_read_in_one_pass_only_in_canonical_form(monkeypatch):
+    # to_dict writes a scale-1 instance's rates as decimal strings, which the
+    # one-pass read takes; every other spelling falls through to the checked
+    # path, which reads or refuses it as it did before
+    def doc(rate, supply="13"):
+        return {"m": 2, "n": 1, "demand": [rate, "10"], "supply": [supply],
+                "edges": [[1, 1], [2, 1]]}
+
+    canonical = [doc("3"), doc("0", "10"), doc(str(10**40), str(10**40 + 10))]
+    odd = [doc(rate) for rate in ("03", "+3", " 3", "1_0", "\u0663", "-0", "3/1", "1" * 5000)]
+    assert all(core._int_instance(d) is not None for d in canonical)
+    assert all(core._int_instance(d) is None for d in odd)
+    inst = pf.make_instance([3, 10], [13], [(1, 1), (2, 1)])
+    assert core._int_instance(inst.to_dict()) == inst
+    scaled = pf.make_instance(["3/2", 1], ["5/2"], [(1, 1), (2, 1)])
+    assert core._int_instance(scaled.to_dict()) is None
+    fast = [outcome(d) for d in canonical + odd]
+    monkeypatch.setattr(core, "_int_instance", lambda raw: None)
+    assert [outcome(d) for d in canonical + odd] == fast
 
 
 def test_floats_rejected():
@@ -461,6 +483,73 @@ def test_flow_loops_leave_identical_residuals(monkeypatch):
     ]
     runs = [[solves(*case) for case in cases] for _loop in flow_loops(monkeypatch)]
     assert runs[0] == runs[1]
+
+
+def test_flow_loops_lay_out_identical_networks(monkeypatch):
+    rng = random.Random(2801)
+    insts = [planted_block_instance(rng, m)[0] for m in (6, 20, 45)]
+    insts += [random_feasible_instance(rng, 7, 7, 4, denominators=(1, 2, 3, 5))
+              for _ in range(4)]
+    insts += [random_instance_with_zero_rates(rng, 6, 6, 4) for _ in range(4)]
+    insts += [pf.make_instance(inst.demand, inst.supply, list(inst.sorted_edges)[1:])
+              for inst in insts[-8:]]
+    insts += [pf.make_instance([1, 2], [3], []), pf.make_instance([0], [0, 0, 0], [])]
+    insts += [random_feasible_instance(rng, 3, 9) for _ in range(4)]
+    assert not all(pf.is_feasible(inst) for inst in insts)
+    assert any(inst.m != inst.n for inst in insts)
+    runs = []
+    for _loop in flow_loops(monkeypatch):
+        layouts = []
+        for inst in insts:
+            for seed in range(4):
+                net = _Transport(inst, order_seed=seed)
+                layout = [list(net.start), list(net.arcs), list(net.arc_to), list(net.res)]
+                units = inst.demand_units + inst.supply_units
+                oracle = core._arc_layout(inst.m, inst.n, net.edges, units, net.inf)
+                assert layout == list(oracle)
+                layouts.append(layout)
+        runs.append(layouts)
+    assert runs[0] == runs[1]
+
+
+def test_gap_lays_out_each_network_once(monkeypatch, tmp_path):
+    # every sink arc a forcing needs is laid out with the network, so
+    # force(i, OUT) only sets capacities
+    rng = random.Random(2802)
+    path = tmp_path / "pooled.json"
+    path.write_text(json.dumps(planted_block_instance(rng, 12, max_block=4)[0].to_dict()))
+    layouts, forced_out = [], []
+    arc_layout, force = core._arc_layout, _Transport.force
+    monkeypatch.setattr(core, "_arc_layout", lambda *a: layouts.append(1) or arc_layout(*a))
+    monkeypatch.setattr(_Transport, "force", lambda net, i, mode: forced_out.append(mode == OUT)
+                        or force(net, i, mode))
+    for _loop in flow_loops(monkeypatch):
+        lib = core._dinic()
+        if lib is not None:
+            counting = types.SimpleNamespace(build=lambda *a: layouts.append(1) or lib.build(*a),
+                                             dinic=lib.dinic, tarjan=lib.tarjan)
+            monkeypatch.setattr(core, "_dinic", lambda: counting)
+        layouts.clear()
+        forced_out.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["gap", str(path)]) == 0
+        assert layouts == [1] and sum(forced_out) >= 5
+
+
+def test_warm_resolve_of_a_maximum_flow_pushes_nothing_in_place(monkeypatch):
+    rng = random.Random(2803)
+    insts = [planted_block_instance(rng, m)[0] for m in (10, 40)]
+    for _loop in flow_loops(monkeypatch):
+        for inst in insts:
+            net = core._feasible_network(inst)
+            res, before = net.res, list(net.res)
+            assert net.max_flow() == inst.total_units
+            assert net.res is res and list(res) == before
+            net.force(1, OUT)
+            net.max_flow()
+            res, before, flow = net.res, list(net.res), net.flow
+            assert net.max_flow() == flow
+            assert net.res is res and list(res) == before
 
 
 def test_flow_loops_agree_on_warm_started_constrained_cuts(monkeypatch):
