@@ -46,14 +46,15 @@ from .errors import ProcflexError, SizeLimitExceeded, VerificationFailed
 SCHEMA_VERSION = 1
 
 # Most steps (horizon x reps x eps values) one simulate request may ask for.
-# The compiled MaxWeight step loop runs it in about 3 s on a 4x4 graph (16.4M
-# steps/s on the four-pair graph, 34M on the 4x4 diagonal) and half a minute
-# on the 20-chain (1.6M steps/s), measured on two-eps, two-replication sweeps
-# (Python 3.11, one core of a 2-vCPU VM).  The limit stays where the Python
-# loop that replaces the kernel without a C compiler finishes: about three
-# and a half minutes on the four-pair graph (246k steps/s), 2.5 minutes on
-# the 4x4 diagonal (336k) and 15 minutes on the 20-chain (55k), in the same
-# run.  The largest sweep in the test suite (gate 07) fits.
+# The compiled MaxWeight step loop, drawing with the C Philox fill, runs it in
+# about 2 s on a 4x4 graph (22M steps/s on the four-pair graph, 40M on the
+# 4x4 diagonal) and 18 s on the 20-chain (2.8M steps/s), measured on two-eps,
+# two-replication sweeps of 500 000 steps (50 000 on the chain; Python 3.11,
+# gcc 12, one core of a 2-vCPU VM).  The limit stays where the Python loop
+# that replaces the kernel without a C compiler finishes: about three minutes
+# on the four-pair graph (295k steps/s), two on the 4x4 diagonal (435k) and
+# 11 on the 20-chain (74k), in the same run at a tenth of those horizons.  The
+# largest sweep in the test suite (gate 07) fits.
 MAX_SIM_STEPS = 50_000_000
 
 
@@ -93,8 +94,10 @@ def _instance(doc, where: str) -> ProblemInstance:
 # encoded compactly in C, with the ": " key separator that indent=2 uses, and
 # one C pass over that ASCII text adds the rest of indent=2's layout.  Parsed
 # Fractions (objective tables read from a file) are written as their
-# canonical strings.
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "),
+# canonical strings.  Every envelope is a fresh tree of dicts and lists built
+# for this one write, so it holds no cycle and the encoder skips its
+# circular-reference check.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ": "), check_circular=False,
                             default=format_rational).encode
 
 _LAYOUT_SOURCE = r"""

@@ -245,7 +245,10 @@ class CrpDag:
 def ssc_basis(decomp: CrpDecomposition) -> tuple[tuple[int, ...], ...]:
     """Indicator vectors of the demand blocks; orthogonal basis of the
     collapse subspace."""
-    return tuple(
-        tuple(int(l == label) for l in decomp.demand_labels)
-        for label in range(1, decomp.erp_number + 1)
-    )
+    basis = []
+    for comp in decomp.components:
+        row = [0] * decomp.m
+        for i in comp.demands:
+            row[i - 1] = 1
+        basis.append(tuple(row))
+    return tuple(basis)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate
 
 from .augmentation import _best_edge
 from .core import ProblemInstance, parse_rational
@@ -52,10 +52,7 @@ Move = tuple
 
 def erp_trajectory(inst: ProblemInstance, edges) -> list[int]:
     """Block count after each addition, from one decomposition of inst."""
-    return _trajectory(crp_decomposition(inst), edges)
-
-
-def _trajectory(dec: CrpDecomposition, edges) -> list[int]:
+    dec = crp_decomposition(inst)
     out: list[int] = []
     for edge in edges:
         dec = dec.with_edge(edge)
@@ -484,6 +481,39 @@ def _absent_edges(graph: ProblemInstance | CrpDecomposition) -> list[tuple[int, 
 _EXHAUSTIVE_LIMIT = 20_000
 
 
+def _first_optimum(dec: CrpDecomposition, absent, K: int, obj: Objective):
+    """(value, edges, trajectory) of the first of ``permutations(absent, K)``
+    with the least objective, K >= 1.  A depth-first walk in that order
+    carries each prefix's decomposition, so every distinct prefix costs one
+    `with_edge` call rather than one per sequence that extends it."""
+    best = None
+    seq: list[tuple[int, int]] = []
+    traj: list[int] = []
+    used = [False] * len(absent)
+
+    def walk(cur: CrpDecomposition) -> None:
+        nonlocal best
+        for idx, edge in enumerate(absent):
+            if used[idx]:
+                continue
+            nxt = cur.with_edge(edge)
+            seq.append(edge)
+            traj.append(nxt.erp_number)
+            if len(seq) < K:
+                used[idx] = True
+                walk(nxt)
+                used[idx] = False
+            else:
+                val = obj.total(traj)
+                if best is None or val < best[0]:
+                    best = (val, tuple(seq), tuple(traj))
+            seq.pop()
+            traj.pop()
+
+    walk(dec)
+    return best
+
+
 def greedy_vs_optimal_report(
     inst: ProblemInstance, K: int, objective="sum"
 ) -> GreedyOptimalReport:
@@ -536,11 +566,7 @@ def greedy_vs_optimal_report(
         opt_traj, opt_value = report.trajectory, report.value
     elif math.perm(len(absent), K) <= _EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
-        for seq in permutations(absent, K):
-            traj = _trajectory(dec, seq)
-            val = obj.total(traj)
-            if opt_value is None or val < opt_value:
-                opt_edges, opt_traj, opt_value = seq, tuple(traj), val
+        opt_value, opt_edges, opt_traj = _first_optimum(dec, absent, K, obj)
     else:
         mode = "unavailable"
         reason = (

@@ -13,7 +13,12 @@ triple owns a Philox stream keyed by the seed, and draws are indexed by step,
 so results are bit-reproducible and independent of evaluation order.  The
 keys do not involve eps, so a sweep's eps values share each replication's
 streams: a replication draws each chunk's uniforms once and runs every eps
-value on them side by side (common random numbers across loads).
+value on them side by side (common random numbers across loads).  Each
+chunk's draws are made before its steps: on the compiled path
+`philox_rows` (in the same library as the step loop) fills every queue's
+row in one call and every server's in another, and the Python loop fills
+each row from its own `np.random.Philox` generator (`_stream`), which gives
+the same numbers and is the C fill's oracle in the tests.
 
 One `_Campaign` object holds all of a simulate call's or a sweep's state:
 its checked arguments, its blocks, its servers in CSR form and the chunk
@@ -254,9 +259,103 @@ class _RepAccum:
 # double, so its values equal _RepAccum.add's bit for bit; otherwise it
 # returns 0 without writing and the caller takes _RepAccum.add.  94906265 is
 # the largest x with x^2 < 2^53; dividing the bounds avoids int64 overflow.
+#
+# philox_rows writes draws first .. first + length - 1 of `rows` streams to
+# out[r * length ..], stream r being np.random.Philox(key=[k0, key1[r]]) read
+# by Generator.random: Philox4x64-10 (Salmon et al., SC 2011) on the counter
+# 1, 2, 3, ... (numpy increments it before its first block), block c giving
+# draws 4(c - 1) .. 4(c - 1) + 3, a word x giving (x >> 11) * 2^-53.  Two
+# blocks run interleaved with their ten rounds written out: on x86-64 (gcc 12)
+# that fills at about 0.6x numpy's time per draw, where one block at a time
+# was slower than numpy and four blocks were no faster than two.  mulhilo
+# takes the 64 x 64 -> 128-bit product from unsigned __int128 where the
+# compiler has it and from 32-bit halves elsewhere.
 _KERNEL_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+
+#if defined(__SIZEOF_INT128__)
+static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    unsigned __int128 p = (unsigned __int128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+}
+#else
+static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return a * b;
+}
+#endif
+
+typedef struct { uint64_t x0, x1, x2, x3; } philox_block;
+
+static inline philox_block philox_round(philox_block b, uint64_t k0, uint64_t k1)
+{
+    uint64_t hi0, hi1;
+    uint64_t lo0 = mulhilo(UINT64_C(0xD2E7470EE14C6C93), b.x0, &hi0);
+    uint64_t lo1 = mulhilo(UINT64_C(0xCA5A826395121157), b.x2, &hi1);
+    philox_block out = {hi1 ^ b.x1 ^ k0, lo1, hi0 ^ b.x3 ^ k1, lo0};
+    return out;
+}
+
+/* x >> 11 < 2^53 converts exactly, and faster as a signed integer */
+static inline void philox_store(philox_block b, double *dst)
+{
+    const double scale = 1.0 / 9007199254740992.0;
+    dst[0] = (double)(int64_t)(b.x0 >> 11) * scale;
+    dst[1] = (double)(int64_t)(b.x1 >> 11) * scale;
+    dst[2] = (double)(int64_t)(b.x2 >> 11) * scale;
+    dst[3] = (double)(int64_t)(b.x3 >> 11) * scale;
+}
+
+/* block ctr's words skip .. 3, at most n of them, to dst */
+static void philox_part(uint64_t ctr, const uint64_t *kx, const uint64_t *ky,
+                        int64_t skip, int64_t n, double *dst)
+{
+    philox_block a = {ctr, 0, 0, 0};
+    for (int i = 0; i < 10; i++)
+        a = philox_round(a, kx[i], ky[i]);
+    double w[4];
+    philox_store(a, w);
+    for (int64_t j = 0; j < n && skip + j < 4; j++)
+        dst[j] = w[skip + j];
+}
+
+void philox_rows(int64_t rows, uint64_t k0, const uint64_t *key1,
+                 int64_t first, int64_t length, double *out)
+{
+    uint64_t kx[10], ky[10];
+    for (int64_t r = 0; r < rows; r++) {
+        kx[0] = k0;
+        ky[0] = key1[r];
+        for (int i = 1; i < 10; i++) {
+            kx[i] = kx[i - 1] + UINT64_C(0x9E3779B97F4A7C15);
+            ky[i] = ky[i - 1] + UINT64_C(0xBB67AE8584CAA73B);
+        }
+        double *dst = out + r * length;
+        uint64_t ctr = (uint64_t)(first / 4) + 1;
+        int64_t t = 0;
+        if (first % 4 && length > 0) {
+            philox_part(ctr++, kx, ky, first % 4, length, dst);
+            t = 4 - first % 4;
+        }
+        for (; t + 8 <= length; t += 8, ctr += 2) {
+            philox_block a = {ctr, 0, 0, 0}, b = {ctr + 1, 0, 0, 0};
+#define PHILOX_PAIR(i) a = philox_round(a, kx[i], ky[i]), b = philox_round(b, kx[i], ky[i])
+            PHILOX_PAIR(0); PHILOX_PAIR(1); PHILOX_PAIR(2); PHILOX_PAIR(3); PHILOX_PAIR(4);
+            PHILOX_PAIR(5); PHILOX_PAIR(6); PHILOX_PAIR(7); PHILOX_PAIR(8); PHILOX_PAIR(9);
+            philox_store(a, dst + t);
+            philox_store(b, dst + t + 4);
+        }
+        for (; t < length; t += 4)
+            philox_part(ctr++, kx, ky, 0, length - t, dst + t);
+    }
+}
 
 void maxweight_steps(int64_t length, int64_t m, int64_t k_multi,
                      const double *u, const double *p, const int64_t *level,
@@ -331,12 +430,16 @@ int64_t row_sums(int64_t rows, int64_t m, const int64_t *qarr,
 
 @functools.cache
 def _kernel():
-    """The compiled library with `maxweight_steps` and `row_sums`, or None
-    where it cannot be built or loaded (see `native.load`), in which case the
-    Python loop runs.  Both take array addresses (`ndarray.ctypes.data`)."""
+    """The compiled library with `maxweight_steps`, `row_sums` and
+    `philox_rows`, or None where it cannot be built or loaded (see
+    `native.load`), in which case the Python loop runs on numpy's generators.
+    All three take array addresses (`ndarray.ctypes.data`)."""
     lib = native.load("maxweight", _KERNEL_SOURCE)
     if lib is None:
         return None
+    lib.philox_rows.argtypes = [ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p,
+                                ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
+    lib.philox_rows.restype = None
     lib.maxweight_steps.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 12
     lib.maxweight_steps.restype = None
     lib.row_sums.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p, ctypes.c_int64] + [
@@ -493,6 +596,10 @@ class _Campaign:
             for p, q in zip(self.probs, self.q)
         ]
         self.qarr_addr = addr(self.qarr)
+        self.u_addr, self.ties_addr = addr(self.u), addr(self.ties)
+        # the stream index of each queue and multi-queue server
+        self.queue_keys = np.arange(m, dtype=np.uint64)
+        self.server_keys = np.array(servers, dtype=np.uint64)
         # row_sums' arguments after (rows, m, qarr)
         self.sums_args = (len(self.pooled), *map(addr, (
             self.block_off, self.block_cols, self.colsum, self.norm, self.perp)))
@@ -502,25 +609,35 @@ def _run_replication(camp: _Campaign, rep: int) -> list[_RepAccum]:
     """One replication at every eps value of the campaign, side by side.
 
     Stream keys do not involve eps, so each chunk's uniforms and tie draws
-    are drawn once and serve every eps value: one kernel call (or Python
+    are drawn once and serve every eps value: two `philox_rows` calls (or
+    one numpy generator per stream) per chunk, one kernel call (or Python
     loop) per eps and chunk, then one `row_sums` call (or `_RepAccum.add`)
     for the post-warmup rows.
     """
     m, k = camp.m, len(camp.servers)
-    arr_gens = [_stream(camp.seed, rep, _ARRIVAL_STREAM, i) for i in range(m)]
-    tie_gens = [_stream(camp.seed, rep, _TIE_STREAM, j) for j in camp.servers]
-    accs = [_RepAccum(m, camp.pooled) for _ in camp.models]
     lib = _kernel()
+    if lib is None:
+        arr_gens = [_stream(camp.seed, rep, _ARRIVAL_STREAM, i) for i in range(m)]
+        tie_gens = [_stream(camp.seed, rep, _TIE_STREAM, j) for j in camp.servers]
+    else:
+        # the second key words of those streams, as _stream forms them
+        arr_keys = camp.queue_keys | np.uint64((rep << 24) | (_ARRIVAL_STREAM << 20))
+        tie_keys = camp.server_keys | np.uint64((rep << 24) | (_TIE_STREAM << 20))
+    accs = [_RepAccum(m, camp.pooled) for _ in camp.models]
     camp.q.fill(0)
     done = 0
     while done < camp.horizon:
         length = min(_CHUNK, camp.horizon - done)
         u = camp.u[:length * m].reshape(m, length)
         ties = camp.ties[:length * k].reshape(k, length)
-        for i, g in enumerate(arr_gens):
-            g.random(out=u[i])
-        for j, g in enumerate(tie_gens):
-            g.random(out=ties[j])
+        if lib is None:
+            for i, g in enumerate(arr_gens):
+                g.random(out=u[i])
+            for j, g in enumerate(tie_gens):
+                g.random(out=ties[j])
+        else:
+            lib.philox_rows(m, camp.seed, arr_keys.ctypes.data, done, length, camp.u_addr)
+            lib.philox_rows(k, camp.seed, tie_keys.ctypes.data, done, length, camp.ties_addr)
         qarr = camp.qarr[:length * m].reshape(length, m)
         start = max(0, camp.warmup - done)
         rows = length - start

@@ -395,7 +395,7 @@ def test_edge_what_ifs_solve_one_max_flow(monkeypatch, four_pair_instance):
     assert flows(best_single_edge, four_pair_instance) == 1
 
 
-def test_greedy_vs_optimal_walks_each_chain_once(monkeypatch):
+def test_greedy_vs_optimal_walks_each_chain_once(monkeypatch, four_pair_instance):
     walked = []
     with_edge = CrpDecomposition.with_edge
     monkeypatch.setattr(CrpDecomposition, "with_edge",
@@ -406,6 +406,17 @@ def test_greedy_vs_optimal_walks_each_chain_once(monkeypatch):
         assert rep.optimal_mode == "structured"
         assert walked == list(rep.greedy_edges + rep.optimal_edges)
         assert len(walked) == 2 * K
+    # the exhaustive mode walks each distinct prefix of the K-permutations
+    # once, in permutation order: the last edge of each, after the greedy's
+    absent = planning._absent_edges(four_pair_instance)
+    for K, objective in ((1, "sum"), (2, "final"), (3, "sum")):
+        walked.clear()
+        rep = greedy_vs_optimal_report(four_pair_instance, K, objective)
+        assert rep.optimal_mode == "exhaustive"
+        prefixes = sorted({p[:k] for p in permutations(range(len(absent)), K)
+                           for k in range(1, K + 1)})
+        assert len(prefixes) == sum(math.perm(len(absent), k) for k in range(1, K + 1))
+        assert walked == list(rep.greedy_edges) + [absent[p[-1]] for p in prefixes]
 
 
 def test_realize_checks_the_counts_it_walks(monkeypatch):

@@ -1,6 +1,7 @@
 """MaxWeight simulator: scheduling rules, chain dynamics, heavy-traffic
 estimates and state-space-collapse diagnostics."""
 
+import ctypes
 import json
 import math
 import random
@@ -376,14 +377,21 @@ def test_sweep_rows_equal_standalone_runs(monkeypatch):
 def test_a_replication_draws_once_for_every_eps(monkeypatch):
     inst = four_pair_graph()  # 4 queues; servers 2 and 4 each serve two or more
     horizon, reps = queuesim._CHUNK + 100, 2
-    streams = []
+    lib = queuesim._kernel()
+    streams, fills = [], []
 
     def recording_stream(*key):
         streams.append((key, _stream(*key)))
         return streams[-1][1]
 
+    def recording_rows(rows, k0, key1, first, length, out):
+        fills.append((k0, list((ctypes.c_uint64 * rows).from_address(key1)), first, length))
+        lib.philox_rows(rows, k0, key1, first, length, out)
+
     monkeypatch.setattr(queuesim, "_stream", recording_stream)
     for eps in (["0.1"], ["0.2", "0.1"], ["0.3", "0.2", "0.1"]):
+        # the Python loop: one generator per stream, drawn horizon times
+        monkeypatch.setattr(queuesim, "_kernel", lambda: None)
         streams.clear()
         heavy_traffic_check(inst, eps, horizon=horizon, seed=4, replications=reps)
         keys = [key for key, _ in streams]
@@ -391,6 +399,96 @@ def test_a_replication_draws_once_for_every_eps(monkeypatch):
         # each stream was drawn exactly horizon times, whatever the number of eps
         assert [g.random() for _, g in streams] == [
             _stream(*key).random(horizon + 1)[-1] for key in keys]
+        if lib is None:
+            continue
+        # the compiled path: per chunk one fill of the queues' streams and one
+        # of the servers', whatever the number of eps; no generator is built
+        monkeypatch.setattr(queuesim, "_kernel", lambda: types.SimpleNamespace(
+            maxweight_steps=lib.maxweight_steps, row_sums=lib.row_sums,
+            philox_rows=recording_rows))
+        streams.clear()
+        fills.clear()
+        heavy_traffic_check(inst, eps, horizon=horizon, seed=4, replications=reps)
+        assert streams == []
+        assert fills == [
+            (4, [(rep << 24) | (kind << 20) | i for i in index], first, length)
+            for rep in range(reps)
+            for first, length in ((0, queuesim._CHUNK), (queuesim._CHUNK, 100))
+            for kind, index in ((1, range(4)), (2, (1, 3)))]
+
+
+def philox_fill(lib, k0, key1, first, length):
+    """`philox_rows`' draws first .. first + length - 1 of the streams keyed
+    [k0, key1[r]], one row per stream."""
+    key1 = np.array(key1, dtype=np.uint64)
+    out = np.full((len(key1), length), -1.0)
+    fill = lib.philox_rows
+    fill.argtypes = [ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p,
+                     ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
+    fill(len(key1), k0, key1.ctypes.data, first, length, out.ctypes.data)
+    return out
+
+
+def numpy_philox(k0, key1, first, length):
+    """The same draws from numpy's own Philox generator, the oracle."""
+    g = np.random.Generator(np.random.Philox(key=np.array([k0, key1], dtype=np.uint64)))
+    g.random(first)
+    return g.random(length)
+
+
+def assert_philox_rows_match_numpy(lib):
+    rng = random.Random(29)
+    chunk = queuesim._CHUNK
+    largest = (1 << 20) - 1  # the largest stream index a key holds
+    k0s = [0, 5, 1 << 63, (1 << 63) + 7, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(4)]
+    key1s = [[], [0], [(1 << 24) | (2 << 20) | largest, (7 << 24) | (1 << 20) | largest],
+             [rng.getrandbits(64) for _ in range(3)], [(1 << 64) - 1, 1 << 63]]
+    spans = [(first, length) for first in (0, 1, 2, 3, 5, chunk, 2 * chunk)
+             for length in range(10)]
+    spans += [(0, chunk), (chunk, chunk), (2 * chunk, chunk), (3, chunk + 1)]
+    for k0 in k0s:
+        for key1 in key1s:
+            for first, length in spans:
+                out = philox_fill(lib, k0, key1, first, length)
+                assert out.shape == (len(key1), length)
+                for row, k1 in zip(out, key1):
+                    assert row.tolist() == numpy_philox(k0, k1, first, length).tolist()
+
+
+def test_philox_rows_equal_numpy_philox():
+    lib = queuesim._kernel()
+    if lib is None:
+        pytest.skip("no compiled kernel")
+    assert_philox_rows_match_numpy(lib)
+
+
+def test_philox_rows_without_int128_equal_numpy_philox(monkeypatch, tmp_path):
+    # the portable 64 x 64 -> 128-bit multiply, from 32-bit halves, where the
+    # compiler has no unsigned __int128
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    source = "#undef __SIZEOF_INT128__\n" + queuesim._KERNEL_SOURCE
+    lib = native.load("maxweight-portable", source)
+    assert lib is not None
+    assert_philox_rows_match_numpy(lib)
+
+
+def test_bench_sweep_graphs_agree_on_both_step_loops(monkeypatch):
+    # the five graphs and horizons of the benchmark's simulator sweeps: the
+    # compiled path draws with philox_rows, the Python loop with numpy
+    cases = [
+        (four_pair_graph(), 8000, None),
+        (design_flexibility([1] * 4, [1] * 4, 1).instance(), 8000, None),
+        (long_chain(20), 1500, None),
+        (diagonal_instance(4), 100_000, None),
+        (diagonal_instance(1), 100_000, [3]),
+    ]
+    for inst, horizon, levels in cases:
+        runs = [heavy_traffic_check(inst, ["0.1", "0.05"], horizon=horizon, seed=2**63 + 7,
+                                    replications=2, arrival_levels=levels)
+                for _loop in step_loops(monkeypatch)]
+        assert [r.stats for r in runs[0].rows] == [r.stats for r in runs[1].rows]
 
 
 def guard_campaign():
@@ -421,7 +519,7 @@ def test_row_sums_guard_falls_back_to_the_numpy_sums(monkeypatch):
     monkeypatch.setattr(queuesim, "_kernel", lambda: None)
     assert run() == mixed
     numpy_sums = types.SimpleNamespace(maxweight_steps=lib.maxweight_steps,
-                                       row_sums=lambda *args: 0)
+                                       row_sums=lambda *args: 0, philox_rows=lib.philox_rows)
     monkeypatch.setattr(queuesim, "_kernel", lambda: numpy_sums)
     assert run() == mixed
 
